@@ -111,12 +111,19 @@ class SetNwDst(Action):
         return frame
 
 
+def _transport(frame: Ethernet):
+    """The frame's TCP or UDP header, else None.  Tests ``is None``
+    rather than truthiness: ``bool(header)`` packs the whole segment."""
+    l4 = frame.find(TCP)
+    return l4 if l4 is not None else frame.find(UDP)
+
+
 class SetTpSrc(Action):
     def __init__(self, port: int):
         self.port = port
 
     def apply(self, frame: Ethernet) -> Ethernet:
-        l4 = frame.find(TCP) or frame.find(UDP)
+        l4 = _transport(frame)
         if l4 is not None:
             l4.srcport = self.port
         return frame
@@ -127,7 +134,7 @@ class SetTpDst(Action):
         self.port = port
 
     def apply(self, frame: Ethernet) -> Ethernet:
-        l4 = frame.find(TCP) or frame.find(UDP)
+        l4 = _transport(frame)
         if l4 is not None:
             l4.dstport = self.port
         return frame

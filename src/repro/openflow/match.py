@@ -1,5 +1,6 @@
 """OpenFlow 1.0 12-tuple match with per-field wildcards."""
 
+import struct
 from typing import Optional, Union
 
 from repro.packet import ARP, EthAddr, Ethernet, IPAddr, IPv4, TCP, UDP, Vlan
@@ -80,7 +81,11 @@ class Match:
             match.nw_proto = ip.protocol
             match.nw_src = ip.srcip
             match.nw_dst = ip.dstip
-            l4 = ip.find(TCP) or ip.find(UDP)
+            # explicit None tests: a header's truthiness is its packed
+            # length, which would re-pack (and checksum) the segment
+            l4 = ip.find(TCP)
+            if l4 is None:
+                l4 = ip.find(UDP)
             if l4 is not None:
                 match.tp_src = l4.srcport
                 match.tp_dst = l4.dstport
@@ -172,3 +177,79 @@ class Match:
             "%s=%s" % (field, getattr(self, field))
             for field in MATCH_FIELDS if getattr(self, field) is not None)
         return "Match(%s)" % (set_fields or "*")
+
+
+# -- header-only flow key -------------------------------------------------
+
+_ETHERTYPE = struct.Struct("!H")
+_VLAN_TAG = struct.Struct("!HH")
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_UDP = struct.Struct("!HHHH")
+_TCP = struct.Struct("!HHIIHHHH")
+
+
+def _sums_to_ones(data: bytes) -> bool:
+    """True when the RFC 1071 checksum over non-zero ``data`` verifies.
+
+    The one's-complement sum of 16-bit words is congruent to the
+    big-endian integer modulo 0xFFFF (2**16 = 1 mod 0xFFFF), and a
+    verifying sum folds to 0xFFFF, so this is one C-level modulo.  An
+    odd-length buffer needs no zero pad: padding multiplies the integer
+    by 256, which is coprime to 0xFFFF.
+    """
+    return int.from_bytes(data, "big") % 0xFFFF == 0
+
+
+def flow_key(data: bytes) -> Optional[tuple]:
+    """Header-only flow key of an Eth[/802.1Q]/IPv4/UDP|TCP frame.
+
+    Reads fixed offsets with ``struct`` and builds no header objects.
+    Two frames with equal keys give equal :meth:`Match.from_packet`
+    results (``in_port`` aside), so a key can stand in for the concrete
+    match in a lookup cache.
+
+    Returns None for every other frame, which then takes the full parse.
+    That covers the frames the full parse rejects — wrong IP version,
+    failing IPv4 header checksum, ``total_len`` beyond the frame, bad
+    UDP length, TCP data offset out of bounds — and also valid frames a
+    re-pack would change: IPv4 options, trailing padding, TCP options,
+    reserved bits or urgent pointer, and a UDP/TCP checksum that is
+    not the one :meth:`pack` computes.  So for every keyed frame
+    ``Ethernet.unpack(data).pack() == data``, and output-only actions
+    may forward ``data`` itself.
+    """
+    size = len(data)
+    if size < 42:  # Ethernet + IPv4 + UDP headers
+        return None
+    (ethertype,) = _ETHERTYPE.unpack_from(data, 12)
+    vid = NO_VLAN
+    ip = 14
+    if ethertype == 0x8100:
+        tci, ethertype = _VLAN_TAG.unpack_from(data, 14)
+        vid = tci & 0xFFF
+        ip = 18
+    if ethertype != 0x0800 or size < ip + 28:
+        return None
+    (ver_ihl, tos, total_len, _ident, _frag, _ttl, proto, csum,
+     nw_src, nw_dst) = _IPV4.unpack_from(data, ip)
+    # a stored checksum of 0xFFFF verifies but re-packs as 0x0000
+    if (ver_ihl != 0x45 or total_len != size - ip or csum == 0xFFFF
+            or not _sums_to_ones(data[ip:ip + 20])):
+        return None
+    l4 = ip + 20
+    if proto == 17:
+        tp_src, tp_dst, length, csum = _UDP.unpack_from(data, l4)
+        if length != size - l4:
+            return None
+    elif proto == 6:
+        if size < l4 + 20:
+            return None
+        (tp_src, tp_dst, _seq, _ack, offset_flags, _window, csum,
+         urgent) = _TCP.unpack_from(data, l4)
+        if offset_flags & 0xFFC0 != 0x5000 or urgent:
+            return None
+    else:
+        return None
+    if csum == 0xFFFF or not _sums_to_ones(data[l4:]):
+        return None
+    return (data[:12], vid, tos, proto, nw_src, nw_dst, tp_src, tp_dst)

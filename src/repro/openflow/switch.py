@@ -2,11 +2,11 @@
 
 from typing import Callable, Dict, List, Optional
 
-from repro.openflow.actions import Group, apply_actions
+from repro.openflow.actions import Group, Output, apply_actions
 from repro.openflow.channel import ControllerChannel
 from repro.openflow.flowtable import (FlowEntry, FlowTable, GroupError,
                                       GroupTable)
-from repro.openflow.match import Match
+from repro.openflow.match import flow_key
 from repro.openflow import messages as msg
 from repro.packet import Ethernet
 from repro.packet.base import PacketError
@@ -84,7 +84,7 @@ class OpenFlowSwitch:
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
     SAMPLE_EVERY = 256  # trace one packet span per this many (0: off)
-    MICROFLOW_CAP = 4096  # cached exact-frame entries before a reset
+    MICROFLOW_CAP = 4096  # microflow cache entries before a reset
 
     def __init__(self, sim: Simulator, dpid: int, name: str = "",
                  n_buffers: int = 256, miss_send_len: int = 128):
@@ -112,10 +112,16 @@ class OpenFlowSwitch:
         self.table_miss_count = 0
         self.microflow_hit_count = 0
         self._pkt_seq = 0
-        # OVS-style microflow cache: exact (in_port, frame bytes) ->
-        # (entry, rewritten wire bytes, out_ports).  Valid because the
-        # datapath is a pure function of the frame and the flow table;
-        # any table mutation bumps table.version and flushes it.
+        # OVS-style microflow cache: one dict, two key kinds, both
+        # filled on a flow-table lookup and mapping to (entry,
+        # out_ports, wire, rewrite actions or None for output-only):
+        #   (in_port, frame bytes): wire is the frame as sent, replayed
+        #   (in_port, flow_key(frame)): wire is None; the frame itself
+        #       is sent, or rewritten first
+        # Valid because the lookup is a pure function of the header
+        # fields and the flow table, and a keyed frame re-packs to
+        # itself.  A table mutation (table.version), port liveness
+        # change or GroupMod flushes it.
         self._microflow: Dict[tuple, tuple] = {}
         self._microflow_version = self.table.version
         # flowtrace handle bound once (ESCAPE re-homes it for switches
@@ -231,20 +237,34 @@ class OpenFlowSwitch:
         # actually time out; removals bump table.version which flushes
         # the microflow cache below.
         self.table.expire(now)
+        cache = self._microflow
         if self._microflow_version != self.table.version:
-            self._microflow.clear()
+            cache.clear()
             self._microflow_version = self.table.version
-        cached = self._microflow.get((in_port, data))
+        cached = cache.get((in_port, data))
+        if cached is None:
+            key = flow_key(data)
+            if key is not None:
+                cached = cache.get((in_port, key))
         if cached is not None:
-            entry, wire, out_ports = cached
+            entry, out_ports, wire, rewrite = cached
             self.table_hit_count += 1
             self.microflow_hit_count += 1
             entry.note_hit(len(data), now)
-            if wire is None:
+            if not out_ports:
                 self.dropped_count += 1
                 return
+            if wire is None:  # served by the flow key
+                wire = data if rewrite is None else self._rewrite(rewrite,
+                                                                  data)
             for port_no in out_ports:
                 self._output(port_no, wire, in_port)
+            return
+        if len(data) < Ethernet.MIN_LEN:
+            # a runt has no Ethernet header to match on: a miss and a
+            # drop, never a PacketIn
+            self.table_miss_count += 1
+            self.dropped_count += 1
             return
         entry = self.table.lookup(data, in_port, now)
         if entry is None:
@@ -253,37 +273,51 @@ class OpenFlowSwitch:
             return
         self.table_hit_count += 1
         entry.note_hit(len(data), now)
-        wire, out_ports = self._execute(entry.actions, data, in_port)
-        if len(self._microflow) >= self.MICROFLOW_CAP:
-            self._microflow.clear()
-        self._microflow[(in_port, data)] = (entry, wire, out_ports)
+        wire, out_ports, rewrite = self._execute(entry.actions, data,
+                                                 in_port, key is not None)
+        if len(cache) >= self.MICROFLOW_CAP:
+            cache.clear()
+        cache[(in_port, data)] = (entry, out_ports, wire, rewrite)
+        if key is not None:
+            cache[(in_port, key)] = (entry, out_ports, None, rewrite)
 
-    def _execute(self, actions, data: bytes, in_port: Optional[int]) -> tuple:
-        """Apply ``actions`` to the frame; returns ``(wire, out_ports)``
-        so table hits can memoize the rewrite (``wire`` is None for a
-        drop)."""
-        if not actions:
-            self.dropped_count += 1
-            return None, ()
+    def _execute(self, actions, data: bytes, in_port: Optional[int],
+                 canonical: bool = False) -> tuple:
+        """Apply ``actions`` to the frame; returns ``(wire, out_ports,
+        rewrite)`` so table hits can memoize the outcome.
+
+        ``wire`` is the frame as sent (None for a drop) and ``rewrite``
+        the group-resolved action list when it does more than output
+        (None otherwise).  A ``canonical`` frame is one
+        :func:`flow_key` accepted: it re-packs to itself, so output-only
+        actions send ``data`` as is, without a parse.
+        """
         if self.groups.groups:
             # only switches with installed groups pay this scan, and
-            # only on microflow-cache misses — the steady-state hot
-            # path replays the memoized resolution
+            # only on cache misses — hits replay the memoized resolution
             actions = self._resolve_groups(actions)
-        try:
-            frame = Ethernet.unpack(data)
-        except PacketError:
-            self.dropped_count += 1
-            return None, ()
-        frame, out_ports = apply_actions(actions, frame)
+        out_ports = tuple(action.port for action in actions
+                          if isinstance(action, Output))
+        rewrite = None if len(out_ports) == len(actions) else actions
         if not out_ports:
             self.dropped_count += 1
-            return None, ()
-        wire = frame.pack()
-        out_ports = tuple(out_ports)
+            return None, (), rewrite
+        if rewrite is None and canonical:
+            wire = data
+        else:
+            try:
+                wire = self._rewrite(actions, data)
+            except PacketError:
+                self.dropped_count += 1
+                return None, (), rewrite
         for port_no in out_ports:
             self._output(port_no, wire, in_port)
-        return wire, out_ports
+        return wire, out_ports, rewrite
+
+    @staticmethod
+    def _rewrite(actions, data: bytes) -> bytes:
+        """Parse the frame, apply the rewrite actions, pack it again."""
+        return apply_actions(actions, Ethernet.unpack(data))[0].pack()
 
     def _resolve_groups(self, actions) -> list:
         """Expand Group actions into the live bucket's actions.
