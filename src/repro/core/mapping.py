@@ -451,9 +451,12 @@ class CongestionAwareMapper(ShortestPathMapper):
             if src not in graph or dst not in graph:
                 return None
         try:
+            # a None weight hides the edge: down links carry no path
             return nx.shortest_path(
                 graph, src, dst,
-                weight=lambda a, b, _d: self._edge_weight(view, a, b))
+                weight=lambda a, b, _d: (self._edge_weight(view, a, b)
+                                         if view.link_is_up(a, b)
+                                         else None))
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
 

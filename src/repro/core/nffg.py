@@ -357,6 +357,7 @@ class ResourceView:
     def copy(self) -> "ResourceView":
         clone = ResourceView()
         clone.graph = self.graph.copy()
+        clone._down_edges = set(self._down_edges)
         return clone
 
     def snapshot(self) -> Dict[str, dict]:

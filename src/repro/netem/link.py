@@ -7,6 +7,7 @@ so packet-loss experiments replay identically.
 """
 
 import random
+import zlib
 from typing import Optional
 
 from repro import telemetry
@@ -60,7 +61,7 @@ class Link:
         # plain list so the dataplane hot path pays one falsy check
         # when no recorder is attached.
         self.taps = []
-        self._rng = random.Random(hash(self.name) & 0xFFFFFFFF)
+        self._rng = random.Random(zlib.crc32(self.name.encode()))
         self._dir1 = _Direction()  # intf1 -> intf2
         self._dir2 = _Direction()  # intf2 -> intf1
         # (direction, target) resolved once per orientation — the

@@ -6,11 +6,18 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.netem.interface import Interface
 from repro.openflow import OpenFlowSwitch
+from repro.openflow.match import NO_VLAN, flow_key
 from repro.packet import (ARP, BROADCAST, EthAddr, Ethernet, ICMP, IPAddr,
                           IPv4, UDP)
-from repro.packet.base import PacketError
+from repro.packet.base import PacketError, checksum
 from repro.packet.probe import PROBE_MAGIC
 from repro.sim import Simulator
+
+# The wire layout Ethernet(IPv4(UDP(payload))).pack() produces for a
+# host-sent datagram (IPv4 without options, TTL 64, id/flags/tos 0):
+# Ethernet + IPv4 header, then the UDP header
+_ETH_IPV4 = struct.Struct("!6s6sHBBHHHBBH4s4s")
+_UDP_HEAD = struct.Struct("!HHHH")
 
 
 class Node:
@@ -70,7 +77,6 @@ class Host(Node):
     """
 
     ARP_TIMEOUT = 1.0  # seconds before a pending ARP resolution drops
-    RX_CACHE_CAP = 1024  # memoized parses of byte-identical datagrams
 
     def __init__(self, name: str, sim: Simulator,
                  ip: Union[str, IPAddr], mac: Union[str, EthAddr],
@@ -88,9 +94,6 @@ class Host(Node):
         self._pings: Dict[int, PendingPing] = {}
         self._next_ping_id = 1
         self._captures: List = []
-        # rx fast path: constant-rate flows deliver byte-identical
-        # frames, so the parse result is memoized per wire image
-        self._udp_rx_cache: Dict[bytes, tuple] = {}
 
     # -- convenience accessors ------------------------------------------------
 
@@ -141,12 +144,21 @@ class Host(Node):
     # -- receive path ---------------------------------------------------------
 
     def _receive(self, intf: Interface, data: bytes) -> None:
-        # fast path: an identical UDP datagram was parsed before (the
-        # memo is only safe single-homed and invisible to captures)
-        if not self._captures and len(self.interfaces) == 1:
-            cached = self._udp_rx_cache.get(data)
-            if cached is not None:
-                self._deliver_udp(*cached)
+        # fast path: a canonical untagged UDP datagram for this
+        # interface's MAC and IP is delivered from its flow key (the
+        # switches on its path usually memoized it already); ARP, ICMP,
+        # VLAN, broadcast and non-canonical frames, and every frame a
+        # capture observes, take the full parse below
+        own_ip = intf.ip
+        if not self._captures and own_ip is not None:
+            key = flow_key(data)
+            if (key is not None and key[1] == NO_VLAN
+                    and key[3] == IPv4.UDP_PROTOCOL
+                    and key[5] == own_ip.to_int()
+                    and data.startswith(intf.mac.raw)):
+                payload = data[42:]
+                self._deliver_udp(IPAddr(key[4]), key[6], key[7], payload,
+                                  payload.startswith(PROBE_MAGIC))
                 return
         try:
             frame = Ethernet.unpack(data)
@@ -163,7 +175,7 @@ class Host(Node):
             return
         ip = frame.find(IPv4)
         if ip is not None and intf.ip is not None and ip.dstip == intf.ip:
-            self._handle_ip(ip, wire=data)
+            self._handle_ip(ip)
 
     def _handle_arp(self, arp: ARP) -> None:
         if arp.opcode == ARP.REQUEST and arp.protodst == self.ip:
@@ -180,7 +192,7 @@ class Host(Node):
                 frame.dst = arp.hwsrc
                 self.send_frame(frame)
 
-    def _handle_ip(self, ip: IPv4, wire: Optional[bytes] = None) -> None:
+    def _handle_ip(self, ip: IPv4) -> None:
         icmp = ip.find(ICMP)
         if icmp is not None:
             self._handle_icmp(ip, icmp)
@@ -188,14 +200,8 @@ class Host(Node):
         udp = ip.find(UDP)
         if udp is not None:
             payload = udp.raw_payload()
-            is_probe = payload.startswith(PROBE_MAGIC)
-            if wire is not None:
-                if len(self._udp_rx_cache) >= self.RX_CACHE_CAP:
-                    self._udp_rx_cache.clear()
-                self._udp_rx_cache[wire] = (ip.srcip, udp.srcport,
-                                            udp.dstport, payload, is_probe)
             self._deliver_udp(ip.srcip, udp.srcport, udp.dstport,
-                              payload, is_probe)
+                              payload, payload.startswith(PROBE_MAGIC))
 
     def _deliver_udp(self, srcip: IPAddr, srcport: int, dstport: int,
                      payload: bytes, is_probe: bool) -> None:
@@ -234,10 +240,21 @@ class Host(Node):
 
     def send_udp(self, dst: Union[str, IPAddr], dport: int,
                  payload: bytes, sport: int = 40000) -> None:
-        self.send_ip(IPv4(srcip=self.ip, dstip=IPAddr(dst),
-                          protocol=IPv4.UDP_PROTOCOL,
-                          payload=UDP(srcport=sport, dstport=dport,
-                                      payload=payload)))
+        dst = IPAddr(dst)
+        dst_mac = self.arp_table.get(dst)
+        if dst_mac is None or self._captures:
+            # queues behind ARP, or shows the frame object to captures
+            self.send_ip(IPv4(srcip=self.ip, dstip=dst,
+                              protocol=IPv4.UDP_PROTOCOL,
+                              payload=UDP(srcport=sport, dstport=dport,
+                                          payload=payload)))
+            return
+        for port in (sport, dport):
+            if not 0 <= port <= 0xFFFF:
+                raise ValueError("UDP port out of range: %d" % port)
+        intf = self.default_interface()
+        intf.send(_udp_frame(dst_mac.raw, intf.mac.raw, intf.ip.raw,
+                             dst.raw, sport, dport, bytes(payload)))
 
     def ping(self, dst: Union[str, IPAddr], count: int = 3,
              interval: float = 1.0, payload_size: int = 56):
@@ -318,6 +335,20 @@ class Host(Node):
 
         send_next(0)
         return report
+
+
+def _udp_frame(dst_mac: bytes, src_mac: bytes, srcip: bytes, dstip: bytes,
+               sport: int, dport: int, payload: bytes) -> bytes:
+    """The bytes ``Ethernet(IPv4(UDP(payload))).pack()`` gives, built
+    from two ``struct`` templates with no header objects."""
+    length = 8 + len(payload)
+    head = _ETH_IPV4.pack(dst_mac, src_mac, Ethernet.IP_TYPE, 0x45, 0,
+                          20 + length, 0, 0, 64, IPv4.UDP_PROTOCOL, 0,
+                          srcip, dstip)
+    udp = _UDP_HEAD.pack(sport, dport, length, 0)
+    return b"".join((head[:24], checksum(head[14:]).to_bytes(2, "big"),
+                     head[26:], udp[:6],
+                     checksum(udp + payload).to_bytes(2, "big"), payload))
 
 
 class Switch(Node):

@@ -1,9 +1,11 @@
 """OpenFlow 1.0 12-tuple match with per-field wildcards."""
 
+import functools
 import struct
 from typing import Optional, Union
 
 from repro.packet import ARP, EthAddr, Ethernet, IPAddr, IPv4, TCP, UDP, Vlan
+from repro.packet.base import checksum
 from repro.packet.icmp import ICMP
 
 # Fields of the OF 1.0 match, in spec order.
@@ -188,18 +190,7 @@ _UDP = struct.Struct("!HHHH")
 _TCP = struct.Struct("!HHIIHHHH")
 
 
-def _sums_to_ones(data: bytes) -> bool:
-    """True when the RFC 1071 checksum over non-zero ``data`` verifies.
-
-    The one's-complement sum of 16-bit words is congruent to the
-    big-endian integer modulo 0xFFFF (2**16 = 1 mod 0xFFFF), and a
-    verifying sum folds to 0xFFFF, so this is one C-level modulo.  An
-    odd-length buffer needs no zero pad: padding multiplies the integer
-    by 256, which is coprime to 0xFFFF.
-    """
-    return int.from_bytes(data, "big") % 0xFFFF == 0
-
-
+@functools.lru_cache(maxsize=256)
 def flow_key(data: bytes) -> Optional[tuple]:
     """Header-only flow key of an Eth[/802.1Q]/IPv4/UDP|TCP frame.
 
@@ -217,6 +208,12 @@ def flow_key(data: bytes) -> Optional[tuple]:
     not the one :meth:`pack` computes.  So for every keyed frame
     ``Ethernet.unpack(data).pack() == data``, and output-only actions
     may forward ``data`` itself.
+
+    The key is a pure function of the frame bytes, so it is memoized:
+    a frame crossing several switches and reaching a host is checked
+    once, not at every hop.  ``data`` must be ``bytes`` (hashable); the
+    small bound covers the frames in flight.  ``flow_key.__wrapped__``
+    is the uncached extractor.
     """
     size = len(data)
     if size < 42:  # Ethernet + IPv4 + UDP headers
@@ -234,7 +231,7 @@ def flow_key(data: bytes) -> Optional[tuple]:
      nw_src, nw_dst) = _IPV4.unpack_from(data, ip)
     # a stored checksum of 0xFFFF verifies but re-packs as 0x0000
     if (ver_ihl != 0x45 or total_len != size - ip or csum == 0xFFFF
-            or not _sums_to_ones(data[ip:ip + 20])):
+            or checksum(data[ip:ip + 20])):
         return None
     l4 = ip + 20
     if proto == 17:
@@ -250,6 +247,6 @@ def flow_key(data: bytes) -> Optional[tuple]:
             return None
     else:
         return None
-    if csum == 0xFFFF or not _sums_to_ones(data[l4:]):
+    if csum == 0xFFFF or checksum(data[l4:]):
         return None
     return (data[:12], vid, tos, proto, nw_src, nw_dst, tp_src, tp_dst)

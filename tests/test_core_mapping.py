@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import (BacktrackingMapper, GreedyMapper, MappingError,
-                        ResourceView, ServiceGraph, ShortestPathMapper,
-                        default_catalog)
+from repro.core import (BacktrackingMapper, CongestionAwareMapper,
+                        GreedyMapper, MappingError, ResourceView,
+                        ServiceGraph, ShortestPathMapper, default_catalog)
 
 MAPPERS = [GreedyMapper, ShortestPathMapper, BacktrackingMapper]
 
@@ -115,6 +115,52 @@ class ServiceGraphFactory:
         sg.add_vnf("w0", "firewall")
         sg.add_chain(["h1", "w0", "h2"], bandwidth=bandwidth)
         return sg
+
+
+def diamond_view():
+    """h1 -- a, then a -- b -- d (fast) or a -- c -- d (slow), with h2
+    and the only container hanging off d."""
+    view = ResourceView()
+    view.add_sap("h1")
+    view.add_sap("h2")
+    for index, name in enumerate("abcd"):
+        view.add_switch(name, index + 1)
+    view.add_link("h1", "a", delay=0.001)
+    view.add_link("a", "b", delay=0.001)
+    view.add_link("b", "d", delay=0.001)
+    view.add_link("a", "c", delay=0.005)
+    view.add_link("c", "d", delay=0.005)
+    view.add_link("h2", "d", delay=0.001)
+    view.add_container("nc1", cpu=2.0, mem=1024.0)
+    view.add_link("nc1", "d", delay=0.0005)
+    return view
+
+
+class TestDownedEdges:
+    def test_copy_keeps_down_marks(self):
+        view = diamond_view()
+        view.set_link_up("a", "b", False)
+        clone = view.copy()
+        assert clone.down_links() == [("a", "b")]
+        assert clone.shortest_path("a", "d") == ["a", "c", "d"]
+        assert view.shortest_path("a", "d") == ["a", "c", "d"]
+        # the copy's marks are its own
+        clone.set_link_up("a", "b", True)
+        assert view.down_links() == [("a", "b")]
+
+    @pytest.mark.parametrize("mapper_cls", MAPPERS + [CongestionAwareMapper])
+    def test_chain_avoids_downed_edge(self, mapper_cls):
+        mapper = mapper_cls(default_catalog())
+        view = diamond_view()
+        assert any("b" in path for path in
+                   mapper.map(chain_sg(1), view.copy()).link_paths.values())
+        view.set_link_up("a", "b", False)
+        mapping = mapper.map(chain_sg(1), view)
+        for path in mapping.link_paths.values():
+            hops = {frozenset(hop) for hop in zip(path, path[1:])}
+            assert frozenset(("a", "b")) not in hops, path
+        assert mapping.link_paths[("h1", "v0")] == \
+            ["h1", "a", "c", "d", "nc1"]
 
 
 class TestShortestPathSpecifics:
