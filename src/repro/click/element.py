@@ -14,7 +14,6 @@ queue in between — the same check real Click performs.
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import telemetry
 from repro.click.errors import ClickError, ConfigError
 from repro.click.packet import ClickPacket
 
@@ -276,10 +275,6 @@ class Element:
         # into the telemetry registry by a snapshot-time collector)
         self.pushed_count = 0
         self.pulled_count = 0
-        # profiler/flowtrace handles bound once; each disabled path
-        # costs one attribute check per transfer
-        self._profiler = telemetry.current().profiler
-        self._flowtrace = telemetry.current().flowtrace
         self.add_read_handler("config", lambda: self.config)
         self.add_read_handler("class", lambda: type(self).__name__)
 
@@ -331,24 +326,22 @@ class Element:
         if out.peer is None:
             return  # unconnected output silently drops, like Idle
         self.pushed_count += 1
-        profiler = self._profiler
-        if profiler.enabled:
-            with profiler.profile("click.element.push"):
-                out.peer.element.push(out.peer.index, packet)
-        else:
+        observer = self.router.sim.observer
+        if observer is None:
             out.peer.element.push(out.peer.index, packet)
+        else:
+            observer.push(out.peer, packet)
 
     def input_pull(self, port: int) -> Optional[ClickPacket]:
         """Pull a packet from whatever feeds input ``port``."""
         inp = self.inputs[port]
         if inp.peer is None:
             return None
-        profiler = self._profiler
-        if profiler.enabled:
-            with profiler.profile("click.element.pull"):
-                packet = inp.peer.element.pull(inp.peer.index)
-        else:
+        observer = self.router.sim.observer
+        if observer is None:
             packet = inp.peer.element.pull(inp.peer.index)
+        else:
+            packet = observer.pull(inp.peer)
         if packet is not None:
             self.pulled_count += 1
         return packet

@@ -98,10 +98,9 @@ class FromDevice(Element):
         if not self.router.running:
             return
         self.count += 1
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("vnf.in", self.router.name,
-                             self.router.sim.now, data)
+        observer = self.router.sim.observer
+        if observer is not None:
+            observer.postcard("vnf.in", self.router.name, data)
         self.output_push(0, ClickPacket(data, timestamp=self.router.sim.now))
 
 
@@ -151,12 +150,11 @@ class ToDevice(Element):
 
     def _transmit(self, packet: ClickPacket) -> None:
         self.count += 1
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
+        observer = self.router.sim.observer
+        if observer is not None:
             # vnf.out − vnf.in is the packet's whole element-graph
             # traversal, queue residency included
-            flowtrace.record("vnf.out", self.router.name,
-                             self.router.sim.now, packet.data)
+            observer.postcard("vnf.out", self.router.name, packet.data)
         self._device.send(packet.data)
 
     def push(self, port: int, packet: ClickPacket) -> None:

@@ -68,11 +68,11 @@ class Queue(Element):
         buffer.append(packet)
         if len(buffer) > self.highwater:
             self.highwater = len(buffer)
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("queue.in",
-                             "%s/%s" % (self.router.name, self.name),
-                             self.router.sim.now, packet.data)
+        observer = self.router.sim.observer
+        if observer is not None:
+            observer.postcard("queue.in",
+                              "%s/%s" % (self.router.name, self.name),
+                              packet.data)
         if not self.notifier.active:
             self.notifier.wake()
 
@@ -84,12 +84,12 @@ class Queue(Element):
         if not buffer:
             return None
         packet = buffer.popleft()
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
+        observer = self.router.sim.observer
+        if observer is not None:
             # the queue.out − queue.in delta is this packet's residency
-            flowtrace.record("queue.out",
-                             "%s/%s" % (self.router.name, self.name),
-                             self.router.sim.now, packet.data)
+            observer.postcard("queue.out",
+                              "%s/%s" % (self.router.name, self.name),
+                              packet.data)
         if not buffer:
             self.notifier.sleep()
         return packet
@@ -116,11 +116,11 @@ class FrontDropQueue(Queue):
         buffer.append(packet)
         if len(buffer) > self.highwater:
             self.highwater = len(buffer)
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("queue.in",
-                             "%s/%s" % (self.router.name, self.name),
-                             self.router.sim.now, packet.data)
+        observer = self.router.sim.observer
+        if observer is not None:
+            observer.postcard("queue.in",
+                              "%s/%s" % (self.router.name, self.name),
+                              packet.data)
         if not self.notifier.active:
             self.notifier.wake()
 

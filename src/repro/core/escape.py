@@ -76,11 +76,6 @@ class ESCAPE:
         # the simulator predates the bundle, so its dispatch profiler
         # hook is wired explicitly rather than via telemetry.current()
         self.sim.profiler = self.telemetry.profiler
-        # likewise the substrate: Network.build constructed links and
-        # switch datapaths before this bundle became current, so their
-        # bound-once hot-path handles point at the previous bundle —
-        # re-home them here
-        self._rebind_dataplane_handles()
         self.catalog = catalog or default_catalog()
 
         # orchestration layer: controller platform
@@ -127,19 +122,6 @@ class ESCAPE:
         self._finish_init(net)
 
     RPC_TIMEOUT = 10.0  # per-RPC deadline on outband NETCONF sessions
-
-    def _rebind_dataplane_handles(self) -> None:
-        """Point pre-built dataplane components at this bundle's
-        profiler/flowtrace.  Anything constructed after ``set_current``
-        above (click elements at deploy time, NETCONF sessions, the
-        steering module) binds correctly on its own."""
-        profiler = self.telemetry.profiler
-        flowtrace = self.telemetry.flowtrace
-        for link in self.net.links:
-            link._profiler = profiler
-            link._flowtrace = flowtrace
-        for switch in self.net.switches():
-            switch.datapath._flowtrace = flowtrace
 
     def _outband_dial(self, container, control_latency: float):
         """Fresh control pipe to ``container``: a new transport pair
@@ -558,7 +540,7 @@ class ESCAPE:
 
     def last_trace(self):
         """The most recent chain-deployment trace tree (root Span), or
-        None.  Sampled dataplane packet spans are skipped."""
+        None."""
         for trace in reversed(self.telemetry.tracer.traces):
             if trace.name == "service.deploy":
                 return trace

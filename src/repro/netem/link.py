@@ -57,9 +57,8 @@ class Link:
         self.max_queue = max_queue
         self.name = name or "%s<->%s" % (intf1.name, intf2.name)
         self.up = True
-        # Flight-recorder taps (see repro.netem.recorder).  Kept as a
-        # plain list so the dataplane hot path pays one falsy check
-        # when no recorder is attached.
+        # Flight-recorder taps (see repro.netem.recorder), fed by the
+        # network's observer while any tap is attached
         self.taps = []
         self._rng = random.Random(zlib.crc32(self.name.encode()))
         self._dir1 = _Direction()  # intf1 -> intf2
@@ -68,12 +67,6 @@ class Link:
         # per-frame transmit path avoids re-deriving the far end
         self._fwd = (self._dir1, intf2)
         self._rev = (self._dir2, intf1)
-        # profiler/flowtrace handles bound once, same contract as click
-        # elements: each disabled path costs one attribute check per
-        # frame (ESCAPE re-homes these for links built before its
-        # bundle became current)
-        self._profiler = telemetry.current().profiler
-        self._flowtrace = telemetry.current().flowtrace
         # per-cause drop counters: chaos scenarios assert on *why*
         # frames died, not just how many
         self.dropped_down = 0
@@ -156,29 +149,22 @@ class Link:
             "netem.link", "link.degraded", self.name, link=self.name,
             loss=self.loss, delay=self.delay, jitter=self.jitter)
 
-    def _notify_taps(self, direction: str, intf: Interface,
-                     data: bytes) -> None:
-        for tap in self.taps:
-            tap.observe(self.sim.now, self, direction, intf, data)
-
     def transmit(self, from_intf: Interface, data: bytes) -> None:
         """Queue a frame for delivery to the other end."""
-        profiler = self._profiler
-        if profiler.enabled:
-            with profiler.profile("netem.link.transmit"):
-                self._transmit(from_intf, data)
-        else:
+        observer = self.sim.observer
+        if observer is None:
             self._transmit(from_intf, data)
+        else:
+            observer.link_transmit(self, from_intf, data)
 
-    def _transmit(self, from_intf: Interface, data: bytes) -> None:
-        if self.taps:
-            self._notify_taps("tx", from_intf, data)
+    def _transmit(self, from_intf: Interface, data: bytes) -> bool:
+        """Shape and schedule one frame; False when it was dropped."""
         if not self.up:
             self.dropped_down += 1
-            return
+            return False
         if self.loss > 0 and self._rng.random() < self.loss:
             self.dropped_loss += 1
-            return
+            return False
         direction, target = (self._fwd if from_intf is self.intf1
                              else self._rev)
         now = self.sim.now
@@ -187,17 +173,15 @@ class Link:
         else:
             if direction.queued_packets >= self.max_queue:
                 self.dropped_queue += 1
-                return
+                return False
             serialization = len(data) * 8.0 / self.bandwidth
             depart = max(now, direction.busy_until) + serialization
             direction.busy_until = depart
             direction.queued_packets += 1
         extra = self._rng.uniform(0.0, self.jitter) if self.jitter else 0.0
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("link.tx", self.name, now, data)
         self.sim.schedule(depart - now + self.delay + extra,
                           self._deliver, direction, target, data)
+        return True
 
     def _deliver(self, direction: _Direction, target: Interface,
                  data: bytes) -> None:
@@ -208,11 +192,9 @@ class Link:
             return
         self.delivered += 1
         self.delivered_bytes += len(data)
-        if self.taps:
-            self._notify_taps("rx", target, data)
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            flowtrace.record("link.rx", self.name, self.sim.now, data)
+        observer = self.sim.observer
+        if observer is not None:
+            observer.link_deliver(self, target, data)
         target.deliver(data)
 
     def __repr__(self) -> str:

@@ -20,9 +20,10 @@ narrowed to one switch port) and records every frame the link carries:
   through the shared classic-pcap writer for offline inspection with
   Wireshark/tcpdump (demo step 4's "standard tools").
 
-The dataplane cost when **no** tap is attached is a single falsy check
-in ``Link.transmit``/``Link._deliver``; with a tap attached, a record
-is a timestamped append — parsing happens only on query or export.
+The dataplane cost when **no** tap is attached is one ``is None`` check
+on the network's observer slot (:mod:`repro.telemetry.observer`); with
+a tap attached, a record is a timestamped append — parsing happens only
+on query or export.
 """
 
 from collections import deque
@@ -32,6 +33,7 @@ from repro.netem.link import Link
 from repro.netem.traffic import write_pcap
 from repro.packet import Ethernet, frame_probe
 from repro import telemetry
+from repro.telemetry.observer import Observer
 
 
 class RecorderError(Exception):
@@ -152,6 +154,7 @@ class FlightRecorder:
                  capacity: int = 2048):
         self.network = network
         self.telemetry = telemetry_bundle or telemetry.current()
+        self._observer = Observer.of(network.sim)
         self.capacity = capacity
         self.taps: Dict[str, LinkTap] = {}
         tm = self.telemetry.metrics
@@ -181,6 +184,8 @@ class FlightRecorder:
         tap = LinkTap(link, capacity or self.capacity, port=port)
         link.taps.append(tap)
         self.taps[tap.label] = tap
+        self._observer.taps += 1
+        self._observer.refresh()
         self.telemetry.events.info("netem.recorder", "recorder.attached",
                                    "tap on %s" % tap.label,
                                    link=link.name,
@@ -223,6 +228,8 @@ class FlightRecorder:
             raise RecorderError("no tap %r" % (label,))
         if tap in tap.link.taps:
             tap.link.taps.remove(tap)
+        self._observer.taps -= 1
+        self._observer.refresh()
         self._m_recorded.inc(tap.matched)
         self._m_evicted.inc(tap.evicted)
         self.telemetry.events.info("netem.recorder", "recorder.detached",

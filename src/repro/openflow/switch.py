@@ -83,7 +83,6 @@ class OpenFlowSwitch:
     """
 
     EXPIRY_INTERVAL = 0.5  # seconds between timeout sweeps
-    SAMPLE_EVERY = 256  # trace one packet span per this many (0: off)
     MICROFLOW_CAP = 4096  # microflow cache entries before a reset
 
     def __init__(self, sim: Simulator, dpid: int, name: str = "",
@@ -111,7 +110,6 @@ class OpenFlowSwitch:
         self.table_hit_count = 0
         self.table_miss_count = 0
         self.microflow_hit_count = 0
-        self._pkt_seq = 0
         # OVS-style microflow cache: one dict, two key kinds, both
         # filled on a flow-table lookup and mapping to (entry,
         # out_ports, wire, rewrite actions or None for output-only):
@@ -124,10 +122,6 @@ class OpenFlowSwitch:
         # change or GroupMod flushes it.
         self._microflow: Dict[tuple, tuple] = {}
         self._microflow_version = self.table.version
-        # flowtrace handle bound once (ESCAPE re-homes it for switches
-        # built before its bundle became current); the disabled path is
-        # one attribute check per frame
-        self._flowtrace = current_telemetry().flowtrace
 
     # -- ports ----------------------------------------------------------------
 
@@ -213,25 +207,12 @@ class OpenFlowSwitch:
 
     def process_packet(self, in_port: int, data: bytes) -> None:
         """Run one frame through the flow table."""
-        flowtrace = self._flowtrace
-        if flowtrace.enabled:
-            # recorded ahead of the pipeline so microflow hits are
-            # postcarded too — the conformance checker needs every
-            # switch a sampled packet visits
-            flowtrace.record("switch", self.name, self.sim.now, data,
-                             dpid=self.dpid)
-        seq = self._pkt_seq
-        self._pkt_seq = seq + 1
-        if self.SAMPLE_EVERY and seq % self.SAMPLE_EVERY == 0:
-            # sampled dataplane span (1 in SAMPLE_EVERY packets)
-            with current_telemetry().tracer.span(
-                    "openflow.packet", switch=self.name,
-                    in_port=in_port, bytes=len(data)):
-                self._process_packet(in_port, data)
-        else:
-            self._process_packet(in_port, data)
-
-    def _process_packet(self, in_port: int, data: bytes) -> None:
+        observer = self.sim.observer
+        if observer is not None:
+            # postcarded ahead of the pipeline so microflow hits are
+            # traced too — the conformance checker needs every switch a
+            # sampled packet visits
+            observer.postcard("switch", self.name, data, self.dpid)
         now = self.sim.now
         # expire() early-exits on a float compare until something can
         # actually time out; removals bump table.version which flushes

@@ -345,9 +345,7 @@ class DispatchAccounting:
         self._stack.append(frame)
         return frame
 
-    def finish(self, frame: list, end: Optional[float] = None) -> None:
-        if end is None:
-            end = self._clock()
+    def finish(self, frame: list, end: float) -> None:
         stack = self._stack
         if stack:
             stack.pop()
@@ -586,6 +584,11 @@ class Simulator:
         self._live = 0   # not-cancelled events still queued
         self._dead = 0   # cancelled + stale entries awaiting discard
         self.compactions = 0
+        # dataplane observer slot (repro.telemetry.observer): None
+        # while nothing observes the network; the owning Observer is
+        # kept in observer_owner either way
+        self.observer = None
+        self.observer_owner = None
         # optional repro.telemetry Profiler (duck-typed to avoid a
         # sim->telemetry dependency); when set and enabled, every event
         # callback runs inside a "sim.event.dispatch" region — the root
@@ -716,10 +719,6 @@ class Simulator:
         acct = self.accounting
         surface = self._surface
         pop = heapq.heappop
-        # the dispatch region is a per-name singleton on the profiler;
-        # resolve it once per run instead of per event (re-resolved if
-        # a callback swaps self.profiler mid-run)
-        region = None
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
@@ -737,37 +736,13 @@ class Simulator:
                 pop(heap)
                 event.fired = True
                 self._live -= 1
-                if acct.enabled:
-                    frame = acct.begin(event, self.now, len(heap) + 1)
-                    self.now = entry[0]
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        # fused path: accounting already stamped the
-                        # start (frame[1]); share one clock pair
-                        # between the kind stats and the
-                        # sim.event.dispatch region instead of four
-                        # reads per event
-                        pframe = profiler.open_frame(
-                            "sim.event.dispatch", frame[1])
-                        try:
-                            event.callback(*event.args)
-                        finally:
-                            end = acct._clock()
-                            profiler.close_frame(pframe, end)
-                            acct.finish(frame, end)
-                    else:
-                        event.callback(*event.args)
-                        acct.finish(frame)
+                profiler = self.profiler
+                if acct.enabled or (profiler is not None
+                                    and profiler.enabled):
+                    self._dispatch(event, entry[0], len(heap) + 1)
                 else:
                     self.now = entry[0]
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        if region is None or region.profiler is not profiler:
-                            region = profiler.profile("sim.event.dispatch")
-                        with region:
-                            event.callback(*event.args)
-                    else:
-                        event.callback(*event.args)
+                    event.callback(*event.args)
                 executed += 1
             else:
                 if until is not None and until > self.now:
@@ -796,34 +771,41 @@ class Simulator:
         event = entry[2]
         event.fired = True
         self._live -= 1
-        acct = self.accounting
-        if acct.enabled:
-            frame = acct.begin(event, self.now, len(self._heap) + 1)
-            self.now = entry[0]
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                # same fused clock pair as the run() loop
-                pframe = profiler.open_frame("sim.event.dispatch",
-                                             frame[1])
-                try:
-                    event.callback(*event.args)
-                finally:
-                    end = acct._clock()
-                    profiler.close_frame(pframe, end)
-                    acct.finish(frame, end)
-            else:
-                event.callback(*event.args)
-                acct.finish(frame)
-        else:
-            self.now = entry[0]
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                with profiler.profile("sim.event.dispatch"):
-                    event.callback(*event.args)
-            else:
-                event.callback(*event.args)
+        self._dispatch(event, entry[0], len(self._heap) + 1)
         self._processed += 1
         return True
+
+    def _dispatch(self, event: Event, when: float, depth: int) -> None:
+        """Fire one popped event at ``when`` (``depth``: the backlog
+        behind it) — :meth:`step` always, :meth:`run` while accounting
+        or the profiler is on.  Accounting and the
+        ``sim.event.dispatch`` region share one clock pair per event."""
+        acct = self.accounting
+        profiler = self.profiler
+        if profiler is not None and not profiler.enabled:
+            profiler = None
+        if acct.enabled:
+            frame = acct.begin(event, self.now, depth)
+            clock, start = acct._clock, frame[1]
+        elif profiler is not None:
+            frame = None
+            clock = profiler._clock
+            start = clock()
+        else:
+            self.now = when
+            event.callback(*event.args)
+            return
+        self.now = when
+        pframe = (None if profiler is None
+                  else profiler.open_frame("sim.event.dispatch", start))
+        try:
+            event.callback(*event.args)
+        finally:
+            end = clock()
+            if pframe is not None:
+                profiler.close_frame(pframe, end)
+            if frame is not None:
+                acct.finish(frame, end)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when the heap is empty."""

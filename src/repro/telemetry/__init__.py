@@ -4,8 +4,9 @@ UNIFY layers.
 One :class:`Telemetry` bundle groups a :class:`MetricsRegistry`, a
 :class:`Tracer` and an :class:`EventLog`, all reading the same clock.
 The ESCAPE facade creates a bundle bound to its simulator
-(``Simulator.now``) and makes it *current*; components grab handles at
-construction time via :func:`current` (or lazily, on hot paths).
+(``Simulator.now``) and makes it *current*; control-plane components
+grab handles at construction time via :func:`current`, dataplane sites
+read their simulator's :class:`Observer` slot.
 
 Metric names follow ``layer.component.name`` — e.g.
 ``netconf.client.rpc_latency`` or ``core.mapping.placement_attempts``
@@ -29,14 +30,15 @@ from repro.telemetry.introspect import (IntrospectError, build_report,
                                         report_from_bundle)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry, Series)
+from repro.telemetry.observer import Observer
 from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat, profile
-from repro.telemetry.trace import NULL_SPAN, Span, Tracer
+from repro.telemetry.trace import Span, Tracer
 
 __all__ = [
     "Counter", "DEBUG", "ERROR", "Event", "EventError", "EventLog",
     "FlowTrace", "FlowTraceError", "Gauge", "Histogram", "INFO",
     "IntrospectError", "Metric", "MetricError", "MetricsRegistry",
-    "NULL_REGION", "NULL_SPAN", "Profiler", "RegionStat", "SEVERITIES",
+    "NULL_REGION", "Observer", "Profiler", "RegionStat", "SEVERITIES",
     "Series", "Span", "Telemetry", "Tracer", "WARN", "build_report",
     "current", "diff_reports", "load_flowtrace_report", "load_report",
     "profile", "render_flowtrace_report", "report_from_bundle",
@@ -62,6 +64,8 @@ class Telemetry:
                                tracer=self.tracer)
         self.profiler = Profiler()
         self.flowtrace = FlowTrace(events=self.events)
+        self.observer = (Observer(sim, self.profiler, self.flowtrace)
+                         if sim is not None else None)
         self.metrics.add_collector(self._collect_event_counts)
         self.metrics.add_collector(self._collect_self_overhead)
         self.metrics.add_collector(self._collect_flowtrace)

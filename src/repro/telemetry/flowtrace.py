@@ -14,9 +14,9 @@ a per-packet send timestamp).
 Sampling is deterministic: a packet is traced iff
 ``crc32(frame[-64:], seed) % rate == 0``, so the same seed and the
 same scenario reproduce the byte-identical sampled set — the property
-``tests/test_flowtrace.py`` locks down.  The hot-path discipline
-matches the profiler: every instrumented site holds a bound-once
-handle and the disabled path is one attribute check.
+``tests/test_flowtrace.py`` locks down.  Sites reach the sampler via
+their network's observer slot (:mod:`repro.telemetry.observer`): the
+disabled path is one ``is None`` check.
 
 On top of the collector sit two consumers:
 
@@ -116,8 +116,8 @@ class _ExpectedPath:
 
 class FlowTrace:
     """The postcard sampler, collector, aggregator and conformance
-    checker.  Off by default; the disabled hot path is a single
-    attribute check at every instrumented site."""
+    checker.  Off by default; sites reach it through their network's
+    observer slot."""
 
     DIGEST_TAIL = 64     # trailing frame bytes hashed into the trace id
     DEFAULT_RATE = 64    # sample 1 in N packets when enabled
@@ -136,6 +136,7 @@ class FlowTrace:
         self._paths: List[_ExpectedPath] = []
         self._chain_rates: Dict[str, int] = {}
         self._flagged: set = set()
+        self.observer = None  # network Observer refreshed on toggle
         self.configure(rate=rate, seed=seed)
 
     # -- configuration / lifecycle ---------------------------------------
@@ -155,10 +156,14 @@ class FlowTrace:
                seed: Optional[int] = None) -> "FlowTrace":
         self.configure(rate=rate, seed=seed)
         self.enabled = True
+        if self.observer is not None:
+            self.observer.refresh()
         return self
 
     def disable(self) -> "FlowTrace":
         self.enabled = False
+        if self.observer is not None:
+            self.observer.refresh()
         return self
 
     def reset(self) -> None:
@@ -190,9 +195,9 @@ class FlowTrace:
 
     def record(self, kind: str, hop: str, now: float, data: bytes,
                dpid: Optional[int] = None) -> None:
-        """Append a postcard for ``data`` if it is sampled.  Call sites
-        guard with ``if flowtrace.enabled:`` — this method assumes the
-        sampler is on."""
+        """Append a postcard for ``data`` if it is sampled.  Callers
+        (the network observer) check ``enabled`` first — this method
+        assumes the sampler is on."""
         trace_id = zlib.crc32(data[-self.DIGEST_TAIL:], self._basis)
         if trace_id % self.rate:
             return

@@ -19,9 +19,10 @@ and every unique region *path* accumulates self-time separately, which
 is exactly the collapsed-stack format flamegraph tooling consumes
 (``sim.event.dispatch;netem.link.transmit 1234``).
 
-The profiler is off by default and the disabled path is a single
-attribute check — instrumentation stays in place permanently and the
-no-profile dataplane cost is guarded below 5% by
+The profiler is off by default and dataplane sites reach it through
+their network's observer slot, so the disabled path is one ``is None``
+check — instrumentation stays in place permanently and the no-profile
+dataplane cost is guarded below 5% by
 ``benchmarks/test_bench_observability.py``.  When enabled, the
 profiler meters *its own* bookkeeping cost too (:attr:`overhead`):
 telemetry that cannot account for itself would silently poison the
@@ -84,12 +85,11 @@ class _Region:
     paying a second clock read per entry.
     """
 
-    __slots__ = ("profiler", "name", "_suffix")
+    __slots__ = ("profiler", "name")
 
     def __init__(self, profiler: "Profiler", name: str):
         self.profiler = profiler
         self.name = name
-        self._suffix = ";" + name
 
     def __enter__(self) -> "_Region":
         # bookkeeping first, *then* stamp: the enter cost leaks into
@@ -97,14 +97,7 @@ class _Region:
         # second clock read per entry — these run per event on the hot
         # path, so clock reads are budgeted
         prof = self.profiler
-        stack = prof._stack
-        name = self.name
-        if stack:
-            frame = [name, 0.0, 0.0, stack[-1][3] + self._suffix]
-        else:
-            frame = [name, 0.0, 0.0, name]
-        stack.append(frame)
-        frame[1] = prof._clock()
+        prof.open_frame(self.name, 0.0)[1] = prof._clock()
         return self
 
     def __exit__(self, _exc_type, _exc, _tb) -> bool:
@@ -143,16 +136,21 @@ class Profiler:
         self._regions: Dict[str, _Region] = {}
         self.entries = 0          # region entries recorded
         self.overhead = 0.0       # seconds spent on profiler bookkeeping
+        self.observer = None  # network Observer refreshed on toggle
 
     # -- control -----------------------------------------------------------
 
     def enable(self) -> "Profiler":
         self.enabled = True
+        if self.observer is not None:
+            self.observer.refresh()
         return self
 
     def disable(self) -> "Profiler":
         self.enabled = False
         self._stack = []
+        if self.observer is not None:
+            self.observer.refresh()
         return self
 
     def reset(self) -> None:

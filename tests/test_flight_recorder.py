@@ -104,6 +104,21 @@ class TestLinkTap:
         with pytest.raises(RecorderError):
             recorder.detach(tap.label)
 
+    def test_second_recorder_leaves_first_recording(self):
+        """Recorders on one network share its observer slot: one
+        recorder detaching its last tap must not silence another's."""
+        sim, net, h1, h2 = small_net()
+        first, second = FlightRecorder(net), FlightRecorder(net)
+        tap = first.attach(net.links[0])
+        other = second.attach(net.links[0], port="h2-eth0")
+        second.detach(other.label)
+        h1.send_udp(h2.ip, 5000, b"payload")
+        net.run(0.5)
+        assert {record.direction for record in tap.records} == \
+            {"tx", "rx"}
+        first.detach(tap.label)
+        assert sim.observer is None
+
     def test_attach_unknown_link_rejected(self):
         sim, net, _h1, _h2 = small_net()
         recorder = FlightRecorder(net)

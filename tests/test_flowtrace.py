@@ -341,6 +341,69 @@ class TestEscapeIntegration:
                    for key in snapshot)
 
 
+class TestObserverSlot:
+    """Each network reports to its own bundle through its simulator's
+    observer slot, and dataplane traffic never crowds the tracer."""
+
+    def test_second_framework_does_not_capture_first(self):
+        """Framework A deploys its chain after B was built (B's bundle
+        is current by then): A's VNF elements still report to A."""
+        first = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        first.start()
+        second = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        second.start()
+        first.deploy_service(load_service_graph(CHAIN_SG))
+        first.flowtrace.enable(rate=1)
+        first.profiler.enable()
+        second.flowtrace.enable(rate=1)
+        second.profiler.enable()
+        try:
+            drive_unique_udp(first, packets=8)
+        finally:
+            first.profiler.disable()
+            second.profiler.disable()
+        summary = first.flowtrace.aggregate()["chains"]["trace-chain"]
+        kinds = {hop["hop"].split(":")[0] for hop in summary["hops"]}
+        assert {"emit", "link", "switch", "vnf", "vnf.in"} <= kinds
+        assert summary["attributed_ratio"] == pytest.approx(1.0)
+        assert first.profiler.region("click.element.push") is not None
+        assert first.profiler.region("netem.link.transmit") is not None
+        assert second.flowtrace.postcards == 0
+        assert len(second.flowtrace) == 0
+        assert second.profiler.stats == {}
+
+    def test_slot_follows_the_toggles(self, escape):
+        sim = escape.sim
+        assert sim.observer is None
+        escape.profiler.enable()
+        assert sim.observer is escape.telemetry.observer
+        escape.flowtrace.enable(rate=1)
+        escape.profiler.disable()
+        assert sim.observer is escape.telemetry.observer
+        escape.flowtrace.disable()
+        assert sim.observer is None
+        tap = escape.recorder.attach(escape.net.links[0])
+        assert sim.observer is escape.telemetry.observer
+        escape.recorder.detach(tap.label)
+        assert sim.observer is None
+
+    def test_dataplane_traffic_keeps_the_deploy_trace(self, escape):
+        """6,000 packets through the chain must not evict the
+        ``service.deploy`` tree from the bounded trace ring."""
+        escape.deploy_service(load_service_graph(CHAIN_SG))
+        h1, h2 = escape.net.get("h1"), escape.net.get("h2")
+        before = h2.udp_rx_count
+        h1.start_udp_flow(h2.ip, 5001, rate_pps=10000, duration=0.6,
+                          payload_size=64)
+        escape.run(1.0)
+        assert h2.udp_rx_count - before >= 6000
+        trace = escape.last_trace()
+        assert trace is not None and trace.name == "service.deploy"
+        assert not any(span.name == "openflow.packet"
+                       for root in escape.telemetry.tracer.traces
+                       for span in root.iter_spans())
+
+
 class TestScenarioDeterminism:
     """Satellite: same seed + same scenario => byte-identical sampled
     set and identical aggregated breakdown."""

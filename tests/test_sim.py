@@ -517,3 +517,101 @@ class TestDispatchAccounting:
         assert "event kind" in lines[0]
         assert "busy" in lines[1]
         assert "coalescable" in lines[-1]
+
+
+def _dispatch_stream(sim, nested):
+    """A fixed stream of several event kinds (chained ticks, a
+    same-timestamp burst, a partial, a cancelled event); with
+    ``nested`` one callback also pumps step() from inside dispatch."""
+    from functools import partial
+    fired = []
+
+    def tick(remaining):
+        fired.append(("tick", remaining, sim.now))
+        if remaining:
+            sim.schedule(0.001, tick, remaining - 1)
+
+    def pump():
+        fired.append(("pump", sim.now))
+        sim.schedule(0.0, fired.append, ("inner", sim.now))
+        sim.step()
+        sim.step()
+    sim.schedule(0.0, tick, 20)
+    for index in range(10):
+        sim.schedule(0.0005 * index, fired.append, ("burst", index))
+    sim.schedule(0.005, partial(fired.append, ("partial",)))
+    sim.schedule(0.002, fired.append, ("never",)).cancel()
+    if nested:
+        sim.schedule(0.0031, pump)
+    return fired
+
+
+class TestOneDispatchPath:
+    """run() and step() share one instrumented dispatch path: the same
+    stream gives the same observations whichever drives it."""
+
+    @staticmethod
+    def drive(use_run, accounting, profiled, nested):
+        from repro.telemetry import Profiler
+        sim = Simulator()
+        sim.profiler = Profiler()
+        if profiled:
+            sim.profiler.enable()
+        if accounting:
+            sim.accounting.enable()
+        fired = _dispatch_stream(sim, nested)
+        if use_run:
+            sim.run()
+        else:
+            while sim.step():
+                pass
+        region = sim.profiler.region("sim.event.dispatch")
+        kinds = {kind: stat.count
+                 for kind, stat in sim.accounting.kinds.items()}
+        return {"fired": fired, "processed": sim.processed,
+                "dispatched": sim.accounting.dispatched, "kinds": kinds,
+                "dispatch_calls": region.calls if region else 0}
+
+    @pytest.mark.parametrize("nested", [False, True],
+                             ids=["flat", "nested"])
+    @pytest.mark.parametrize("profiled", [False, True],
+                             ids=["unprofiled", "profiled"])
+    @pytest.mark.parametrize("accounting", [False, True],
+                             ids=["unaccounted", "accounted"])
+    def test_run_and_step_observe_identically(self, accounting, profiled,
+                                              nested):
+        via_run = self.drive(True, accounting, profiled, nested)
+        via_step = self.drive(False, accounting, profiled, nested)
+        assert via_run == via_step
+        processed = via_run["processed"]
+        assert processed == len(via_run["fired"])
+        assert ("never",) not in via_run["fired"]
+        assert via_run["dispatched"] == (processed if accounting else 0)
+        assert sum(via_run["kinds"].values()) == via_run["dispatched"]
+        assert via_run["dispatch_calls"] == (processed if profiled
+                                             else 0)
+
+    @pytest.mark.parametrize("accounting", [False, True],
+                             ids=["unaccounted", "accounted"])
+    @pytest.mark.parametrize("profiled", [False, True],
+                             ids=["unprofiled", "profiled"])
+    def test_raising_callback_still_closes_its_frames(self, accounting,
+                                                      profiled):
+        from repro.telemetry import Profiler
+        sim = Simulator()
+        sim.profiler = Profiler()
+        if profiled:
+            sim.profiler.enable()
+        if accounting:
+            sim.accounting.enable()
+
+        def boom():
+            raise RuntimeError("boom")
+        sim.schedule(0.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.accounting._stack == []
+        assert sim.profiler._stack == []
+        assert sim.accounting.dispatched == (1 if accounting else 0)
+        region = sim.profiler.region("sim.event.dispatch")
+        assert (region.calls if region else 0) == (1 if profiled else 0)
