@@ -1,29 +1,26 @@
-"""Profiled demo-chain workload -> BENCH_profile.json.
+"""Profiled demo-chain workload -> attribution report.
 
-The perf-regression harness's workload driver: builds the standard
-benchmark substrate, deploys a one-VNF chain, pushes a fixed UDP burst
-through it with the profiler enabled, and emits a
-:func:`repro.telemetry.regression.profile_snapshot` — per-region
-timings normalized by a machine-speed calibration unit, plus
-throughput numbers.
+The perf gate's workload: builds the standard benchmark substrate,
+deploys a one-VNF chain, pushes a fixed UDP burst through it with
+the profiler and dispatch accounting enabled, and writes an
+attribution report (:func:`repro.telemetry.introspect.build_report`):
+per-region timings and per-event-kind dispatch times normalized by a
+machine-speed calibration unit, plus throughput numbers.  The numbers
+are taken with the profiler on, so they are for attribution, not
+throughput; ``perfbench/`` measures the uninstrumented end-to-end
+figures.
 
 Usage::
 
-    python benchmarks/run_profile.py --out BENCH_profile.json
-    python benchmarks/run_profile.py --out current.json \
-        --check BENCH_profile.json        # exit 1 on regression
-    python benchmarks/run_profile.py --attribution attribution.json
+    python benchmarks/run_profile.py --out attribution.json
+    python -m repro perf diff BENCH_profile.json attribution.json
 
-``--check`` compares the fresh snapshot against a committed baseline
-with :func:`compare_profiles` (guarded regions +15% score, throughput
--15%) — the CI perf gate.  ``udp_pps_wall`` is a *guarded* throughput
-floor: the gate fails both when it drops more than 15% below the
-baseline and when the current snapshot stops reporting it at all.
-
-``--attribution`` additionally writes the unified attribution report
-(profiler regions + per-event-kind dispatch accounting + throughput,
-see :mod:`repro.telemetry.introspect`) — the artifact CI uploads and
-``escape perf diff`` consumes.
+``escape perf diff`` is the CI perf gate against the committed
+``BENCH_profile.json`` baseline (itself an attribution report): it
+exits 1 when a guarded region's score grew or a throughput number
+dropped by more than 15%.  ``udp_pps_wall`` is a *guarded* throughput
+floor: the gate fails both when it drops below the bound and when the
+current report stops carrying it at all.
 """
 
 import argparse
@@ -38,12 +35,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from benchmarks.helpers import chain_sg, demo_topology  # noqa: E402
 from repro.core import ESCAPE  # noqa: E402
-from repro.telemetry.introspect import (build_report,
+from repro.telemetry.introspect import (build_report, calibrate,
                                         render_report)  # noqa: E402
-from repro.telemetry.regression import (calibrate, compare_profiles,
-                                        load_profile, profile_snapshot,
-                                        render_comparison,
-                                        write_profile)  # noqa: E402
 
 PACKETS = 500
 RATE_PPS = 1000
@@ -72,7 +65,7 @@ def run_workload(rounds=ROUNDS):
     report, throughput, packets).
 
     OpenFlow wire serialization is on and the profiler is enabled
-    across deploy/terminate cycles, so the snapshot covers the
+    across deploy/terminate cycles, so the report covers the
     control-path regions (mapping, NETCONF encode/decode, steering,
     OF wire) as well as the per-packet dataplane ones.  Each round is
     profiled in isolation and every region keeps its *best* (lowest
@@ -131,18 +124,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="profiled demo-chain run for the perf gate")
     parser.add_argument("--out", metavar="PATH",
-                        help="write the fresh profile snapshot here")
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against this committed baseline; "
-                             "exit 1 on regression")
-    parser.add_argument("--threshold", type=float, default=0.15,
-                        help="fractional regression gate (default 0.15)")
+                        help="write the attribution report here")
     parser.add_argument("--rounds", type=int, default=ROUNDS,
                         help="workload repetitions (default %d)" % ROUNDS)
-    parser.add_argument("--attribution", metavar="PATH",
-                        help="also write the unified attribution "
-                             "report (regions + dispatch kinds + "
-                             "throughput) here")
     args = parser.parse_args(argv)
 
     # best-of-several calibration: the unit divides every score, so
@@ -153,35 +137,19 @@ def main(argv=None):
     meta = {"workload": "demo-chain udp burst",
             "packets_per_round": PACKETS, "rounds": args.rounds,
             "python": "%d.%d" % sys.version_info[:2]}
-    snapshot = profile_snapshot(
-        profiler, throughput=throughput, calibration=calibration,
-        meta=meta)
+    report = build_report(
+        profiler, accounting=dispatch, throughput=throughput,
+        calibration=calibration, meta=meta)
 
     print("profiled %d packets over %d round(s), calibration %.6fs"
           % (packets, args.rounds, calibration))
-    print(profiler.render_top(limit=0))
+    print(render_report(report, limit=0))
 
     if args.out:
-        write_profile(args.out, snapshot)
-        print("wrote %s" % args.out)
-
-    if args.attribution:
-        report = build_report(
-            profiler, accounting=dispatch, throughput=throughput,
-            calibration=calibration, meta=meta)
-        with open(args.attribution, "w") as handle:
+        with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(render_report(report))
-        print("wrote %s" % args.attribution)
-
-    if args.check:
-        baseline = load_profile(args.check)
-        findings = compare_profiles(baseline, snapshot,
-                                    threshold=args.threshold)
-        print(render_comparison(findings, args.threshold))
-        if findings:
-            return 1
+        print("wrote %s" % args.out)
     return 0
 
 

@@ -314,10 +314,11 @@ def test_unaccounted_dataplane_no_regression():
 
 
 def test_attribution_reconciles_with_profiler(forwarding_escape):
-    """The acceptance criterion: per-kind self-times sum to within 10%
-    of the profiler's inclusive sim.event.dispatch time over one
-    workload burst (both layers watching the same events)."""
-    from repro.telemetry.introspect import COVERAGE_TOLERANCE, build_report
+    """Dispatch accounting and the profiler's sim.event.dispatch region
+    are stamped from one clock pair per event, so over one flat workload
+    burst (no nested step() pumping) the per-kind self-times sum to the
+    region's inclusive time exactly and both count the same events."""
+    from repro.telemetry.introspect import build_report
     escape = forwarding_escape
     profiler = escape.profiler
     accounting = escape.accounting
@@ -331,14 +332,10 @@ def test_attribution_reconciles_with_profiler(forwarding_escape):
         profiler.disable()
         accounting.disable()
     report = build_report(profiler, accounting)
-    coverage = report["coverage"]
-    assert coverage["ratio"] is not None
-    assert abs(coverage["ratio"] - 1.0) <= COVERAGE_TOLERANCE, (
-        "kind self-times %.6fs vs dispatch cum %.6fs (ratio %.3f)"
-        % (coverage["kinds_self_s"], coverage["dispatch_cum_s"],
-           coverage["ratio"]))
-    assert report["dispatch"]["dispatched"] == \
-        profiler.region("sim.event.dispatch").calls
+    dispatch = report["regions"]["sim.event.dispatch"]
+    assert report["dispatch"]["dispatched"] == dispatch["calls"]
+    assert report["dispatch"]["self_seconds"] == pytest.approx(
+        dispatch["cum_s"], rel=1e-9)
     profiler.reset()
     accounting.reset()
 

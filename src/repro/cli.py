@@ -23,9 +23,11 @@ criterion).
 ``perf report`` renders one perf-attribution report (dispatch
 accounting + profiler regions + throughput); ``perf diff`` compares
 two and exits non-zero when a guarded region or throughput floor
-regressed beyond the threshold.  Both accept an attribution report, a
-``BENCH_profile.json`` snapshot, a result ``bundle.json``, or a
-results directory holding exactly one bundle.
+regressed beyond the threshold — the CI perf gate against the
+committed ``BENCH_profile.json``.  Both accept an attribution report
+(``BENCH_profile.json`` is one, as is what
+``benchmarks/run_profile.py --out`` writes), a result ``bundle.json``,
+or a results directory holding exactly one bundle.
 
 ``flowtrace`` renders the per-chain hop-latency breakdown (p50/p99
 per hop, attributed share of one-way delay, conformance counts) from
@@ -85,9 +87,9 @@ def _add_perf_parser(subparsers) -> None:
     report = actions.add_parser(
         "report", help="render one attribution report")
     report.add_argument("source",
-                        help="attribution report, BENCH_profile.json, "
-                             "bundle.json, or a results dir with one "
-                             "bundle")
+                        help="attribution report (e.g. "
+                             "BENCH_profile.json), bundle.json, or a "
+                             "results dir with one bundle")
     report.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     report.add_argument("--limit", type=int, default=12, metavar="N",

@@ -94,7 +94,7 @@ class Link:
         if up == self.up:
             return
         self.up = up
-        events = telemetry.current().events
+        events = telemetry.of(self.sim).events
         if up:
             events.info("netem.link", "link.up", self.name,
                         link=self.name)
@@ -145,7 +145,7 @@ class Link:
                 raise ValueError("jitter must be non-negative, got %r"
                                  % jitter)
             self.jitter = jitter
-        telemetry.current().events.warn(
+        telemetry.of(self.sim).events.warn(
             "netem.link", "link.degraded", self.name, link=self.name,
             loss=self.loss, delay=self.delay, jitter=self.jitter)
 

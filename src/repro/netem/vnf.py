@@ -142,7 +142,7 @@ class VNFContainer(Node):
             self._unsplice(vnf_id, devname)
         process.router.stop()
         process.status = FAILED
-        telemetry.current().events.error(
+        telemetry.of(self.sim).events.error(
             "netem.container", "vnf.crashed",
             "%s/%s" % (self.name, vnf_id),
             container=self.name, vnf_id=vnf_id)
@@ -155,7 +155,7 @@ class VNFContainer(Node):
         emits ``container.down`` / ``container.up`` events."""
         if up == self.up:
             return
-        events = telemetry.current().events
+        events = telemetry.of(self.sim).events
         if not up:
             self.up = False
             for vnf_id, process in list(self.vnfs.items()):

@@ -8,6 +8,7 @@ delivers while ``connected``.
 
 from typing import Callable, Optional
 
+from repro.openflow import wire
 from repro.sim import Simulator
 
 
@@ -37,19 +38,28 @@ class ControllerChannel:
 
     def _encode(self, message):
         """With serialize=True every message round-trips the real OF 1.0
-        wire format, proving the control plane is wire-compatible."""
+        wire format, proving the control plane is wire-compatible.
+        The codecs are looked up on :mod:`repro.openflow.wire` per
+        call and profiled on this channel's own simulator."""
         if not self.serialize:
             return message
-        from repro.openflow.wire import pack_message
-        wire = pack_message(message)
-        self.wire_bytes += len(wire)
-        return wire
+        profiler = self.sim.profiler
+        if profiler is not None and profiler.enabled:
+            with profiler.profile("openflow.wire.encode"):
+                data = wire.pack_message(message)
+        else:
+            data = wire.pack_message(message)
+        self.wire_bytes += len(data)
+        return data
 
     def _decode(self, payload):
         if not self.serialize:
             return payload
-        from repro.openflow.wire import unpack_message
-        return unpack_message(payload)
+        profiler = self.sim.profiler
+        if profiler is not None and profiler.enabled:
+            with profiler.profile("openflow.wire.decode"):
+                return wire.unpack_message(payload)
+        return wire.unpack_message(payload)
 
     def connect(self) -> None:
         self.connected = True

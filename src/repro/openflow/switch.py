@@ -11,7 +11,7 @@ from repro.openflow import messages as msg
 from repro.packet import Ethernet
 from repro.packet.base import PacketError
 from repro.sim import Simulator
-from repro.telemetry import current as current_telemetry
+from repro import telemetry
 
 # OF 1.0 virtual port numbers.
 OFPP_IN_PORT = 0xFFF8
@@ -159,7 +159,7 @@ class OpenFlowSwitch:
         # memoized rewrites may embed a group resolution through this
         # port — invalidate them all; steady-state forwarding re-caches
         self._microflow.clear()
-        events = current_telemetry().events
+        events = telemetry.of(self.sim).events
         note = events.info if up else events.warn
         note("openflow.switch", "of.port.up" if up else "of.port.down",
              "%s port %d (%s)" % (self.name, port_no, port.name),
@@ -331,11 +331,11 @@ class OpenFlowSwitch:
         if previous is None and index == 0:
             return  # first resolution landing on the primary bucket
         self.group_flip_count += 1
-        telemetry = current_telemetry()
-        telemetry.metrics.counter(
+        bundle = telemetry.of(self.sim)
+        bundle.metrics.counter(
             "openflow.group.flips",
             "fast-failover bucket transitions").inc()
-        telemetry.events.warn(
+        bundle.events.warn(
             "openflow.group", "of.group.flip",
             "%s group %d bucket %s -> %s" % (self.name, entry.group_id,
                                              previous, index),

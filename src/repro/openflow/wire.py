@@ -14,7 +14,6 @@ for timeouts, sec+nsec for durations) — the only lossy conversion.
 import struct
 from typing import List, Optional, Tuple
 
-from repro import telemetry
 from repro.openflow import messages as msg
 from repro.openflow.actions import (Action, Group, Output, SetDlDst,
                                     SetDlSrc, SetNwDst, SetNwSrc,
@@ -296,14 +295,6 @@ def _unpack_buckets(data: bytes) -> List[msg.GroupBucket]:
 
 def pack_message(message: msg.Message) -> bytes:
     """Serialize one message object to OF 1.0 wire bytes."""
-    profiler = telemetry.current().profiler
-    if profiler.enabled:
-        with profiler.profile("openflow.wire.encode"):
-            return _pack_message(message)
-    return _pack_message(message)
-
-
-def _pack_message(message: msg.Message) -> bytes:
     xid = message.xid
     if isinstance(message, msg.Hello):
         return _header(OFPT_HELLO, xid, 0)
@@ -416,14 +407,6 @@ def _pack_message(message: msg.Message) -> bytes:
 
 def unpack_message(data: bytes) -> msg.Message:
     """Parse OF 1.0 wire bytes back into a message object."""
-    profiler = telemetry.current().profiler
-    if profiler.enabled:
-        with profiler.profile("openflow.wire.decode"):
-            return _unpack_message(data)
-    return _unpack_message(data)
-
-
-def _unpack_message(data: bytes) -> msg.Message:
     if len(data) < 8:
         raise WireError("message shorter than the OF header")
     version, msg_type, length, xid = struct.unpack_from("!BBHI", data)

@@ -44,7 +44,7 @@ from repro.core.sgfile import load_service_graph
 from repro.scenario.spec import Scenario, load_scenario
 from repro.scenario.workload import WorkloadDriver, build_workload
 from repro.scenario.zoo import build_topology
-from repro.telemetry.regression import calibrate
+from repro.telemetry.introspect import calibrate
 
 BUNDLE_SCHEMA = 4
 BUNDLE_NAME = "bundle.json"

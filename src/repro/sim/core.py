@@ -589,6 +589,10 @@ class Simulator:
         # kept in observer_owner either way
         self.observer = None
         self.observer_owner = None
+        # the repro.telemetry bundle built on this simulator, if any
+        # (Telemetry(sim) records itself): where this network's
+        # call-time events go, see repro.telemetry.of
+        self.telemetry = None
         # optional repro.telemetry Profiler (duck-typed to avoid a
         # sim->telemetry dependency); when set and enabled, every event
         # callback runs inside a "sim.event.dispatch" region — the root

@@ -4,9 +4,12 @@ UNIFY layers.
 One :class:`Telemetry` bundle groups a :class:`MetricsRegistry`, a
 :class:`Tracer` and an :class:`EventLog`, all reading the same clock.
 The ESCAPE facade creates a bundle bound to its simulator
-(``Simulator.now``) and makes it *current*; control-plane components
-grab handles at construction time via :func:`current`, dataplane sites
-read their simulator's :class:`Observer` slot.
+(``Simulator.now``; the bundle records itself as ``sim.telemetry``)
+and makes it *current*; control-plane components grab handles at
+construction time via :func:`current`, dataplane sites read their
+simulator's :class:`Observer` slot, and call-time event emitters
+(link, container and switch state changes) write to :func:`of` their
+simulator.
 
 Metric names follow ``layer.component.name`` — e.g.
 ``netconf.client.rpc_latency`` or ``core.mapping.placement_attempts``
@@ -31,7 +34,7 @@ from repro.telemetry.introspect import (IntrospectError, build_report,
 from repro.telemetry.metrics import (Counter, Gauge, Histogram, Metric,
                                      MetricError, MetricsRegistry, Series)
 from repro.telemetry.observer import Observer
-from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat, profile
+from repro.telemetry.profiler import NULL_REGION, Profiler, RegionStat
 from repro.telemetry.trace import Span, Tracer
 
 __all__ = [
@@ -41,7 +44,7 @@ __all__ = [
     "NULL_REGION", "Observer", "Profiler", "RegionStat", "SEVERITIES",
     "Series", "Span", "Telemetry", "Tracer", "WARN", "build_report",
     "current", "diff_reports", "load_flowtrace_report", "load_report",
-    "profile", "render_flowtrace_report", "report_from_bundle",
+    "of", "render_flowtrace_report", "report_from_bundle",
     "report_from_jsonl", "set_current", "snapshot_dict", "to_json",
     "to_prometheus", "writable_path", "write_snapshot",
 ]
@@ -55,6 +58,8 @@ class Telemetry:
     def __init__(self, sim=None, max_traces: int = 16,
                  event_capacity: int = 4096, series_capacity: int = 512):
         self.sim = sim
+        if sim is not None:
+            sim.telemetry = self
         clock: Optional[Callable[[], float]] = (
             (lambda: sim.now) if sim is not None else None)
         self.metrics = MetricsRegistry(clock=clock,
@@ -134,6 +139,12 @@ _current = Telemetry()
 def current() -> Telemetry:
     """The telemetry bundle new components should bind to."""
     return _current
+
+
+def of(sim) -> Telemetry:
+    """The bundle bound to ``sim``; :func:`current` for a bare
+    simulator (no ``Telemetry(sim)``), as in unit-test networks."""
+    return sim.telemetry or _current
 
 
 def set_current(telemetry: Telemetry) -> Telemetry:

@@ -1,4 +1,4 @@
-"""The event-core flight deck: unified perf attribution and diffing.
+"""The event-core flight deck: the perf artifact and its comparator.
 
 The measurement layers each answer one question — the profiler *how
 much* wall-clock the framework burns per region, the simulator's
@@ -7,37 +7,69 @@ workload drivers *what throughput* came out the other end.  This module
 merges the three into one **attribution report**: a machine-readable
 JSON structure plus a top-consumers rendering, built from live objects
 (:func:`build_report`), from a scenario result bundle
-(:func:`report_from_bundle`), or from any JSON file a perf workflow
-already produces (:func:`load_report` understands attribution reports,
-``BENCH_profile.json`` snapshots, and schema-2 ``bundle.json`` files).
+(:func:`report_from_bundle`), or loaded back from either JSON shape
+(:func:`load_report`).
 
-Reports embed the same *calibration unit* the regression harness uses
-(:mod:`repro.telemetry.regression`), so :func:`diff_reports` can
-compare two reports taken on different machines by their
-calibration-normalized scores — ``escape perf diff`` is the
-before/after tool of the perf arc, and it reuses the committed
-``BENCH_profile.json`` threshold gate in CI.
+The attribution report is the only perf artifact: the committed
+``BENCH_profile.json`` baseline is one, and so is what
+``benchmarks/run_profile.py --out`` writes.  Every report embeds a
+*calibration unit* (:func:`calibrate`, the measured cost of a fixed
+pure-Python loop on the same machine), so :func:`diff_reports` — the
+only comparator, ``escape perf diff`` on the command line and the CI
+perf gate — compares two reports taken on different machines by their
+calibration-normalized scores (``per_call_s / calibration_s``).
 """
 
 import json
 import os
+import time
 from typing import Any, Dict, List, Optional
-
-from repro.telemetry.regression import (DEFAULT_GUARDED, compare_profiles,
-                                        render_comparison)
 
 REPORT_SCHEMA = 1
 
-#: Dispatch-time coverage tolerance: per-kind self-times must sum to
-#: within this fraction of the profiler's inclusive dispatch time for
-#: the two layers to corroborate each other.
-COVERAGE_TOLERANCE = 0.10
+#: Regions the perf gate guards: present in every run of the standard
+#: workload and hot enough that a slowdown there is a real finding,
+#: not noise.
+DEFAULT_GUARDED = (
+    "sim.event.dispatch",
+    "netem.link.transmit",
+    "click.element.push",
+    "openflow.wire.encode",
+    "openflow.wire.decode",
+    "netconf.rpc.encode",
+    "netconf.rpc.decode",
+    "core.mapping.solve",
+    "pox.steering.install",
+)
 
-DISPATCH_REGION = "sim.event.dispatch"
+#: Throughput numbers the gate *requires*: unlike the opportunistic
+#: baseline-driven comparison (any shared number is checked), a guarded
+#: throughput key missing from the current report is itself a failure
+#: — a workload change cannot silently drop the floor.
+GUARDED_THROUGHPUT = (
+    "udp_pps_wall",
+)
+
+CALIBRATION_LOOPS = 200_000
 
 
 class IntrospectError(Exception):
     """Unreadable or unrecognizable perf source."""
+
+
+def calibrate(loops: int = CALIBRATION_LOOPS) -> float:
+    """Seconds one fixed arithmetic loop takes on this machine — the
+    normalization unit embedded in every attribution report."""
+    best = None
+    for _ in range(3):
+        started = time.perf_counter()
+        total = 0
+        for index in range(loops):
+            total += index * 3 % 7
+        elapsed = time.perf_counter() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    return best
 
 
 def _scored(entries: Dict[str, Any],
@@ -55,22 +87,23 @@ def _scored(entries: Dict[str, Any],
     return scored
 
 
-def _coverage(dispatch: Dict[str, Any],
-              regions: Dict[str, Any]) -> Dict[str, Any]:
-    """How well per-kind self-times reconcile with the profiler's
-    inclusive ``sim.event.dispatch`` time (None ratio when either side
-    did not measure)."""
-    kinds_self = dispatch.get("self_seconds")
-    dispatch_region = regions.get(DISPATCH_REGION, {})
-    dispatch_cum = dispatch_region.get("cum_s")
-    ratio = None
-    if kinds_self is not None and dispatch_cum:
-        ratio = kinds_self / dispatch_cum
+def _report(calibration: Optional[float], regions: Dict[str, Any],
+            dispatch: Optional[Dict[str, Any]],
+            throughput: Optional[Dict[str, float]],
+            meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """The one attribution-report constructor: scores regions and
+    dispatch kinds against ``calibration``."""
+    dispatch = dict(dispatch or {})
+    if dispatch.get("kinds"):
+        dispatch["kinds"] = _scored(dispatch["kinds"], calibration)
     return {
-        "kinds_self_s": kinds_self,
-        "dispatch_cum_s": dispatch_cum,
-        "ratio": ratio,
-        "tolerance": COVERAGE_TOLERANCE,
+        "schema": REPORT_SCHEMA,
+        "kind": "attribution",
+        "calibration_s": calibration,
+        "regions": _scored(regions, calibration),
+        "dispatch": dispatch,
+        "throughput": dict(throughput or {}),
+        "meta": dict(meta or {}),
     }
 
 
@@ -82,33 +115,21 @@ def build_report(profiler=None, accounting=None,
 
     Any of the three sources may be absent (``None``); the report
     carries whatever was measured.  ``calibration`` is the
-    machine-speed unit from :func:`repro.telemetry.regression.
-    calibrate` — without it scores default to 0 and the report can
-    still be rendered, but not meaningfully diffed across machines.
+    machine-speed unit from :func:`calibrate` — without it scores
+    default to 0 and the report can still be rendered, but not
+    meaningfully diffed across machines.
     """
     regions: Dict[str, Any] = {}
     if profiler is not None:
-        regions = _scored(
-            {name: stat.to_dict()
-             for name, stat in profiler.stats.items()}, calibration)
+        regions = {name: stat.to_dict()
+                   for name, stat in profiler.stats.items()}
     dispatch: Dict[str, Any] = {}
     if accounting is not None:
         # a live DispatchAccounting, or an already-rendered report
         # dict (e.g. kept from the best benchmark round)
-        dispatch = (dict(accounting) if isinstance(accounting, dict)
+        dispatch = (accounting if isinstance(accounting, dict)
                     else accounting.report())
-    if dispatch.get("kinds"):
-        dispatch["kinds"] = _scored(dispatch["kinds"], calibration)
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "attribution",
-        "calibration_s": calibration,
-        "regions": regions,
-        "dispatch": dispatch,
-        "throughput": dict(throughput or {}),
-        "coverage": _coverage(dispatch, regions),
-        "meta": dict(meta or {}),
-    }
+    return _report(calibration, regions, dispatch, throughput, meta)
 
 
 def report_from_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
@@ -116,10 +137,6 @@ def report_from_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
     (schema 2: carries ``dispatch`` and ``calibration_s``; a
     ``profiler`` section appears when the scenario enabled
     profiling)."""
-    calibration = bundle.get("calibration_s")
-    dispatch = dict(bundle.get("dispatch") or {})
-    if dispatch.get("kinds"):
-        dispatch["kinds"] = _scored(dispatch["kinds"], calibration)
     meta = {
         "source": "bundle",
         "scenario": bundle.get("scenario", {}).get("name"),
@@ -127,27 +144,17 @@ def report_from_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
         "sim_duration": bundle.get("sim_duration"),
         "wall_seconds": bundle.get("wall_seconds"),
     }
-    regions = _scored(bundle.get("profiler") or {}, calibration)
-    return {
-        "schema": REPORT_SCHEMA,
-        "kind": "attribution",
-        "calibration_s": calibration,
-        "regions": regions,
-        "dispatch": dispatch,
-        "throughput": dict(bundle.get("throughput") or {}),
-        "coverage": _coverage(dispatch, regions),
-        "meta": meta,
-    }
+    return _report(bundle.get("calibration_s"),
+                   bundle.get("profiler") or {}, bundle.get("dispatch"),
+                   bundle.get("throughput"), meta)
 
 
 def coerce_report(data: Dict[str, Any],
                   source: str = "<data>") -> Dict[str, Any]:
-    """Normalize any recognized perf JSON into an attribution report.
+    """Normalize a perf JSON source into an attribution report.
 
-    Recognized shapes: an attribution report (passed through), a
-    scenario result bundle (``seed`` + ``workload``/``scenario``), and
-    a ``BENCH_profile.json`` regression snapshot (``regions`` +
-    ``calibration_s``)."""
+    Recognized shapes: an attribution report (passed through) and a
+    scenario result bundle (``seed`` + ``workload``/``scenario``)."""
     if not isinstance(data, dict):
         raise IntrospectError("%s: perf source must be a JSON object"
                               % source)
@@ -155,23 +162,9 @@ def coerce_report(data: Dict[str, Any],
         return data
     if "seed" in data and ("workload" in data or "scenario" in data):
         return report_from_bundle(data)
-    if "regions" in data:
-        calibration = data.get("calibration_s")
-        return {
-            "schema": REPORT_SCHEMA,
-            "kind": "attribution",
-            "calibration_s": calibration,
-            "regions": _scored(data.get("regions") or {}, calibration),
-            "dispatch": dict(data.get("dispatch") or {}),
-            "throughput": dict(data.get("throughput") or {}),
-            "coverage": _coverage(data.get("dispatch") or {},
-                                  data.get("regions") or {}),
-            "meta": dict(data.get("meta") or {},
-                         source="profile-snapshot"),
-        }
     raise IntrospectError(
-        "%s: not an attribution report, profile snapshot, or result "
-        "bundle (keys: %s)" % (source, ", ".join(sorted(data)[:8])))
+        "%s: not an attribution report or result bundle (keys: %s)"
+        % (source, ", ".join(sorted(data)[:8])))
 
 
 def load_report(path) -> Dict[str, Any]:
@@ -223,18 +216,69 @@ def _score_deltas(base: Dict[str, Any], cur: Dict[str, Any],
     return deltas
 
 
+def _findings(baseline: Dict[str, Any], current: Dict[str, Any],
+              threshold: float) -> List[Dict[str, Any]]:
+    """The perf gate: regressions of ``current`` against ``baseline``.
+
+    A :data:`DEFAULT_GUARDED` region regresses when its
+    calibration-normalized score grew by more than ``threshold``
+    (fractional); a throughput number regresses when it *dropped* by
+    more than ``threshold``.  Names absent from either report are
+    skipped (a renamed region is a baseline update, not a regression)
+    — except the :data:`GUARDED_THROUGHPUT` names, which the current
+    report must carry whenever the baseline does: a run that stops
+    measuring ``udp_pps_wall`` would otherwise pass the gate with the
+    floor silently gone."""
+    findings: List[Dict[str, Any]] = []
+    base_regions = baseline.get("regions") or {}
+    cur_regions = current.get("regions") or {}
+    for name in DEFAULT_GUARDED:
+        base = base_regions.get(name)
+        cur = cur_regions.get(name)
+        if base is None or cur is None:
+            continue
+        base_score = base.get("score", 0.0)
+        cur_score = cur.get("score", 0.0)
+        if base_score <= 0.0:
+            continue
+        change = cur_score / base_score - 1.0
+        if change > threshold:
+            findings.append({
+                "kind": "region", "name": name,
+                "baseline_score": base_score, "current_score": cur_score,
+                "change": change,
+            })
+    base_tp = baseline.get("throughput") or {}
+    cur_tp = current.get("throughput") or {}
+    for name in sorted(base_tp):
+        if name not in cur_tp:
+            if name in GUARDED_THROUGHPUT and base_tp[name] > 0.0:
+                findings.append({
+                    "kind": "throughput_missing", "name": name,
+                    "baseline": base_tp[name],
+                })
+            continue
+        if base_tp[name] <= 0.0:
+            continue
+        change = cur_tp[name] / base_tp[name] - 1.0
+        if change < -threshold:
+            findings.append({
+                "kind": "throughput", "name": name,
+                "baseline": base_tp[name], "current": cur_tp[name],
+                "change": change,
+            })
+    return findings
+
+
 def diff_reports(baseline: Dict[str, Any], current: Dict[str, Any],
-                 threshold: float = 0.15,
-                 guarded: Optional[List[str]] = None) -> Dict[str, Any]:
+                 threshold: float = 0.15) -> Dict[str, Any]:
     """Calibration-normalized comparison of two attribution reports.
 
     ``regions`` and ``dispatch`` deltas compare normalized scores
     (machine speed cancels), ``throughput`` compares raw numbers.
-    ``findings`` reuses the regression harness's guarded gate
-    (:func:`repro.telemetry.regression.compare_profiles`): guarded
-    regions that slowed beyond ``threshold``, throughput floors that
-    dropped or vanished.  An empty findings list means the gate
-    passes."""
+    ``findings`` is the perf gate (:func:`_findings`): guarded regions
+    that slowed beyond ``threshold``, throughput floors that dropped
+    or vanished.  An empty findings list means the gate passes."""
     baseline = coerce_report(baseline, "<baseline>")
     current = coerce_report(current, "<current>")
     region_deltas = _score_deltas(baseline.get("regions") or {},
@@ -253,21 +297,18 @@ def diff_reports(baseline: Dict[str, Any], current: Dict[str, Any],
             "current": cur_tp[name],
             "delta": cur_tp[name] / base_tp[name] - 1.0,
         })
-    findings = compare_profiles(baseline, current, threshold=threshold,
-                                guarded=guarded)
     all_deltas = [item["delta"] for item in
                   region_deltas + kind_deltas + throughput_deltas]
     return {
         "threshold": threshold,
-        "guarded": list(guarded if guarded is not None
-                        else DEFAULT_GUARDED),
+        "guarded": list(DEFAULT_GUARDED),
         "normalized": bool(baseline.get("calibration_s")
                            and current.get("calibration_s")),
         "regions": region_deltas,
         "dispatch": kind_deltas,
         "throughput": throughput_deltas,
         "max_abs_delta": max((abs(d) for d in all_deltas), default=0.0),
-        "findings": findings,
+        "findings": _findings(baseline, current, threshold),
     }
 
 
@@ -339,15 +380,6 @@ def render_report(report: Dict[str, Any], limit: int = 12) -> str:
             lines.append("  ... %d more region(s)"
                          % (len(regions) - limit))
 
-    coverage = report.get("coverage") or {}
-    if coverage.get("ratio") is not None:
-        lines.append(
-            "coverage: kind self-times sum to %.1f%% of profiler "
-            "%s cum (%ss / %ss)"
-            % (100.0 * coverage["ratio"], DISPATCH_REGION,
-               _fmt_seconds(coverage.get("kinds_self_s")),
-               _fmt_seconds(coverage.get("dispatch_cum_s"))))
-
     throughput = report.get("throughput") or {}
     if throughput:
         lines.append("throughput: " + "  ".join(
@@ -378,6 +410,27 @@ def render_diff(diff: Dict[str, Any], limit: int = 10) -> str:
                             item["current"], item["delta"] * 100))
         if len(deltas) > limit:
             lines.append("  ... %d more" % (len(deltas) - limit))
-    lines.append(render_comparison(diff.get("findings") or [],
-                                   diff["threshold"]))
+    findings = diff.get("findings") or []
+    percent = diff["threshold"] * 100
+    if not findings:
+        lines.append("perf gate PASS: no guarded region or throughput "
+                     "number regressed beyond %.0f%%" % percent)
+        return "\n".join(lines)
+    lines.append("perf gate FAIL: %d regression(s) beyond %.0f%%"
+                 % (len(findings), percent))
+    for finding in findings:
+        if finding["kind"] == "region":
+            lines.append(
+                "  region %-36s score %.3f -> %.3f (%+.1f%%)"
+                % (finding["name"], finding["baseline_score"],
+                   finding["current_score"], finding["change"] * 100))
+        elif finding["kind"] == "throughput_missing":
+            lines.append(
+                "  throughput %-32s %.1f -> MISSING (guarded floor "
+                "not measured)" % (finding["name"], finding["baseline"]))
+        else:
+            lines.append(
+                "  throughput %-32s %.1f -> %.1f (%+.1f%%)"
+                % (finding["name"], finding["baseline"],
+                   finding["current"], finding["change"] * 100))
     return "\n".join(lines)

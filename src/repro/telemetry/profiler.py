@@ -240,7 +240,8 @@ class Profiler:
         return sum(stat.self_time for stat in self.stats.values())
 
     def report(self) -> Dict[str, Dict[str, Any]]:
-        """{region name: stat dict} — the BENCH_profile.json payload."""
+        """{region name: stat dict} — the ``regions`` payload of an
+        attribution report (:mod:`repro.telemetry.introspect`)."""
         return {name: stat.to_dict()
                 for name, stat in sorted(self.stats.items())}
 
@@ -284,10 +285,3 @@ class Profiler:
         return "Profiler(%s, %d regions, %d entries)" % (
             "on" if self.enabled else "off", len(self.stats),
             self.entries)
-
-
-def profile(name: str):
-    """Region on the *current* telemetry bundle's profiler — the
-    convenience instrumentation points use."""
-    from repro import telemetry
-    return telemetry.current().profiler.profile(name)

@@ -87,6 +87,27 @@ class TestDegradedLinks:
         assert len(escape.discovery.links()) == 0
 
 
+    def test_state_events_land_in_their_own_framework(self, escape):
+        """Framework B is built after A, so B's bundle is current: a
+        link, degradation or container change on A still reaches A's
+        event log (where A's RecoveryManager listens), not B's."""
+        other = ESCAPE.from_topology(load_topology(TOPOLOGY))
+        other.start()
+        mine = escape.telemetry.events
+        theirs = other.telemetry.events
+        mine_before, theirs_before = len(mine), len(theirs)
+        spine = spine_link(escape.net)
+        spine.set_up(False)
+        spine.set_degradation(loss=0.1)
+        escape.net.get("nc1").set_up(False)
+        names = [event.name for event in mine.events()[mine_before:]]
+        # recovery.scheduled: A's RecoveryManager heard the link-down
+        assert names == ["link.down", "recovery.scheduled",
+                         "of.port.down", "of.port.down",
+                         "link.degraded", "container.down"]
+        assert len(theirs) == theirs_before
+
+
 class TestDeployFailures:
     def test_interface_exhaustion_rolls_back(self, escape):
         """The view believes interfaces are free, but a rogue process

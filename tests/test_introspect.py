@@ -1,15 +1,30 @@
 """repro.telemetry.introspect — attribution reports and perf diffing."""
 
 import json
+import os
 
 import pytest
 
 from repro.sim import Simulator
 from repro.telemetry import Profiler
-from repro.telemetry.introspect import (IntrospectError, build_report,
+from repro.telemetry.introspect import (DEFAULT_GUARDED, IntrospectError,
+                                        build_report, calibrate,
                                         coerce_report, diff_reports,
                                         load_report, render_diff,
                                         render_report)
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "BENCH_profile.json")
+
+
+class _StillClock:
+    """A clock that only moves when the test moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
 
 
 def _measured_sim():
@@ -50,18 +65,10 @@ class TestBuildReport:
         assert report["throughput"] == {"udp_pps_wall": 100.0}
         assert report["meta"] == {"note": "t"}
 
-    def test_coverage_reconciles_within_tolerance(self):
-        profiler, sim = _measured_sim()
-        report = build_report(profiler, sim.accounting)
-        coverage = report["coverage"]
-        assert coverage["ratio"] is not None
-        assert abs(coverage["ratio"] - 1.0) <= coverage["tolerance"]
-
     def test_sources_may_be_absent(self):
         report = build_report()
         assert report["regions"] == {}
         assert report["dispatch"] == {}
-        assert report["coverage"]["ratio"] is None
         assert render_report(report)  # still renders
 
     def test_accepts_prerendered_dispatch_dict(self):
@@ -75,6 +82,8 @@ class TestBuildReport:
 
 class TestCoerceAndLoad:
     def test_coerce_detects_profile_snapshot(self):
+        """The retired regions-only snapshot shape (no ``kind``) is no
+        longer a perf source: the attribution report replaced it."""
         snapshot = {
             "regions": {"sim.event.dispatch":
                         {"calls": 10, "cum_s": 0.01, "self_s": 0.01,
@@ -82,11 +91,8 @@ class TestCoerceAndLoad:
             "throughput": {"udp_pps_wall": 50.0},
             "calibration_s": 0.001,
         }
-        report = coerce_report(snapshot)
-        assert report["kind"] == "attribution"
-        region = report["regions"]["sim.event.dispatch"]
-        assert region["score"] == pytest.approx(1.0)
-        assert report["meta"]["source"] == "profile-snapshot"
+        with pytest.raises(IntrospectError):
+            coerce_report(snapshot)
 
     def test_coerce_detects_bundle(self):
         bundle = {
@@ -151,6 +157,17 @@ class TestDiffReports:
                             throughput={"udp_pps_wall": 100.0},
                             calibration=1e-6)
 
+    def _scored(self, scores, throughput=None):
+        """An attribution report whose regions carry exactly the given
+        calibration-normalized scores (one call each)."""
+        clock = _StillClock()
+        profiler = Profiler(clock=clock).enable()
+        for name, score in scores.items():
+            with profiler.profile(name):
+                clock.now += score * 0.001
+        return build_report(profiler, calibration=0.001,
+                            throughput=throughput)
+
     def test_diff_with_itself_is_exactly_zero(self):
         report = self._report()
         diff = diff_reports(report, report)
@@ -187,10 +204,11 @@ class TestDiffReports:
         region["score"] *= 1.5
         region["per_call_s"] *= 1.5
         diff = diff_reports(report, worse, threshold=0.15)
-        assert diff["findings"]
-        assert any(finding["name"] == "sim.event.dispatch"
-                   for finding in diff["findings"])
-        assert "FAIL" in render_diff(diff)
+        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
+            ("region", "sim.event.dispatch")]
+        assert diff["findings"][0]["change"] == pytest.approx(0.5)
+        text = render_diff(diff)
+        assert "FAIL" in text and "sim.event.dispatch" in text
 
     def test_throughput_drop_is_a_finding(self):
         report = self._report()
@@ -205,6 +223,85 @@ class TestDiffReports:
         text = render_diff(diff_reports(report, report))
         assert "PASS" in text
 
+    def test_slow_guarded_region_is_a_finding(self):
+        base = self._scored({"core.mapping.solve": 2.0,
+                             "netem.link.transmit": 1.0})
+        cur = self._scored({"core.mapping.solve": 2.5,  # +25%
+                            "netem.link.transmit": 1.0})
+        diff = diff_reports(base, cur, threshold=0.15)
+        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
+            ("region", "core.mapping.solve")]
+        assert diff["findings"][0]["change"] == pytest.approx(0.25)
+        text = render_diff(diff)
+        assert "FAIL" in text and "core.mapping.solve" in text
+
+    def test_unguarded_throughput_drop_is_a_finding(self):
+        """Any throughput number both reports carry is checked, not
+        only the guarded floor."""
+        base = self._scored({"core.mapping.solve": 2.0},
+                            throughput={"udp_pps": 1000.0})
+        cur = self._scored({"core.mapping.solve": 2.0},
+                           throughput={"udp_pps": 700.0})  # -30%
+        diff = diff_reports(base, cur, threshold=0.15)
+        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
+            ("throughput", "udp_pps")]
+
+    def test_change_within_threshold_passes(self):
+        base = self._scored({"core.mapping.solve": 2.0,
+                             "netem.link.transmit": 1.0})
+        cur = self._scored({"core.mapping.solve": 2.2,
+                            "netem.link.transmit": 1.05})
+        assert base["regions"]["core.mapping.solve"]["score"] == \
+            pytest.approx(2.0)
+        assert diff_reports(base, cur)["findings"] == []
+
+    def test_missing_guarded_throughput_is_a_finding(self):
+        base = self._scored({"core.mapping.solve": 2.0},
+                            throughput={"udp_pps_wall": 1500.0})
+        cur = self._scored({"core.mapping.solve": 2.0}, throughput={})
+        diff = diff_reports(base, cur)
+        assert [(f["kind"], f["name"]) for f in diff["findings"]] == [
+            ("throughput_missing", "udp_pps_wall")]
+        text = render_diff(diff)
+        assert "MISSING" in text and "udp_pps_wall" in text
+
+    def test_missing_unguarded_throughput_is_skipped(self):
+        base = self._scored({"core.mapping.solve": 2.0},
+                            throughput={"sim_ratio": 3.0})
+        cur = self._scored({"core.mapping.solve": 2.0}, throughput={})
+        assert diff_reports(base, cur)["findings"] == []
+
+    def test_absent_regions_are_skipped(self):
+        base = self._scored({"core.mapping.solve": 2.0,
+                             "pox.steering.install": 1.0})
+        cur = self._scored({"core.mapping.solve": 2.0})
+        assert diff_reports(base, cur)["findings"] == []
+
+    def test_unguarded_region_is_ignored(self):
+        base = self._scored({"some.experimental.region": 1.0})
+        cur = self._scored({"some.experimental.region": 10.0})
+        diff = diff_reports(base, cur)
+        assert diff["regions"][0]["delta"] == pytest.approx(9.0)
+        assert diff["findings"] == []
+
+    def test_committed_baseline_self_diffs_clean(self):
+        baseline = load_report(BASELINE)
+        assert baseline["throughput"]["udp_pps_wall"] > 0.0
+        assert diff_reports(baseline, baseline)["findings"] == []
+        slow = json.loads(json.dumps(baseline))
+        slow["throughput"]["udp_pps_wall"] *= 0.8  # -20%
+        findings = diff_reports(baseline, slow)["findings"]
+        assert ("throughput", "udp_pps_wall") in [
+            (f["kind"], f["name"]) for f in findings]
+
+    def test_guard_list_covers_all_layers(self):
+        prefixes = {name.split(".")[0] for name in DEFAULT_GUARDED}
+        assert {"sim", "netem", "click", "openflow", "netconf",
+                "core", "pox"} <= prefixes
+
+    def test_calibration_is_positive(self):
+        assert calibrate(loops=10_000) > 0.0
+
 
 class TestRendering:
     def test_render_report_tables(self):
@@ -215,5 +312,4 @@ class TestRendering:
         text = render_report(report)
         assert "dispatch accounting" in text
         assert "profiler regions" in text
-        assert "coverage" in text
         assert "udp_pps_wall" in text

@@ -276,3 +276,24 @@ class TestEndToEndOverWire:
         switch = escape.net.get("s1")
         assert switch.datapath.channel.wire_bytes > 0
         chain.undeploy()
+
+    def test_wire_regions_land_in_their_own_framework(self):
+        """Framework A deploys after B was built (B's bundle is current
+        by then): A's channels profile encode/decode on A's profiler."""
+        first = ESCAPE.from_topology(load_topology(self.TOPOLOGY),
+                                     of_wire=True)
+        first.start()
+        second = ESCAPE.from_topology(load_topology(self.TOPOLOGY),
+                                      of_wire=True)
+        second.start()
+        first.profiler.enable()
+        second.profiler.enable()
+        try:
+            first.deploy_service(load_service_graph(self.SG))
+            first.run(0.1)
+        finally:
+            first.profiler.disable()
+            second.profiler.disable()
+        for name in ("openflow.wire.encode", "openflow.wire.decode"):
+            assert first.profiler.region(name).calls > 0
+        assert second.profiler.stats == {}

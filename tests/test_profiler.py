@@ -1,23 +1,14 @@
-"""Unit tests for repro.telemetry.profiler (scoped wall-clock regions)
-and the perf-regression comparator built on its reports.
+"""Unit tests for repro.telemetry.profiler (scoped wall-clock regions).
 
 A fake monotonic clock makes attribution assertions exact: each clock
 read advances by a scripted amount, so self/cumulative splits and
 overhead accounting can be checked to the tick.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.sim import Simulator
-from repro.telemetry import (NULL_REGION, Profiler, Telemetry, current,
-                             set_current)
-from repro.telemetry.regression import (DEFAULT_GUARDED, SCHEMA_VERSION,
-                                        calibrate, compare_profiles,
-                                        load_profile, profile_snapshot,
-                                        render_comparison, write_profile)
+from repro.telemetry import NULL_REGION, Profiler
 
 
 class FakeClock:
@@ -168,21 +159,6 @@ class TestProfilerCore:
         assert names == ["hot", "cold"]
 
 
-class TestModuleLevelProfile:
-    def test_uses_current_bundle(self):
-        from repro.telemetry import profile
-        original = current()
-        try:
-            bundle = set_current(Telemetry())
-            assert profile("x.y") is NULL_REGION  # disabled by default
-            bundle.profiler.enable()
-            with profile("x.y"):
-                pass
-            assert bundle.profiler.region("x.y").calls == 1
-        finally:
-            set_current(original)
-
-
 class TestSimIntegration:
     def test_dispatch_region_wraps_events(self):
         sim = Simulator()
@@ -202,115 +178,3 @@ class TestSimIntegration:
         sim.schedule(0.1, lambda: None)
         sim.step()
         assert profiler.stats == {}
-
-
-class TestRegressionHarness:
-    def _snapshot(self, scores, throughput=1000.0):
-        clock = FakeClock(step=0.0)
-        profiler = Profiler(clock=clock).enable()
-        calibration = 0.001
-        for name, per_call in scores.items():
-            with profiler.profile(name):
-                clock.advance(per_call * calibration)
-        return profile_snapshot(profiler,
-                                throughput={"udp_pps": throughput},
-                                calibration=calibration)
-
-    def test_snapshot_structure(self):
-        snap = self._snapshot({"core.mapping.solve": 2.0})
-        assert snap["schema"] == SCHEMA_VERSION
-        assert snap["calibration_s"] == 0.001
-        region = snap["regions"]["core.mapping.solve"]
-        assert region["calls"] == 1
-        assert region["score"] == pytest.approx(2.0)
-        assert snap["throughput"] == {"udp_pps": 1000.0}
-
-    def test_write_and_load_round_trip(self, tmp_path):
-        snap = self._snapshot({"core.mapping.solve": 2.0})
-        target = tmp_path / "bench" / "BENCH_profile.json"
-        write_profile(target, snap)
-        loaded = load_profile(target)
-        assert loaded == json.loads(json.dumps(snap))
-
-    def test_comparator_passes_within_threshold(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "netem.link.transmit": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.2,
-                              "netem.link.transmit": 1.05})
-        assert compare_profiles(base, cur, threshold=0.15) == []
-
-    def test_comparator_flags_slow_regions(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "netem.link.transmit": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.5,  # +25%
-                              "netem.link.transmit": 1.0})
-        findings = compare_profiles(base, cur, threshold=0.15)
-        assert len(findings) == 1
-        assert findings[0]["kind"] == "region"
-        assert findings[0]["name"] == "core.mapping.solve"
-        assert findings[0]["change"] == pytest.approx(0.25)
-        text = render_comparison(findings, 0.15)
-        assert "FAIL" in text and "core.mapping.solve" in text
-        assert "PASS" in render_comparison([], 0.15)
-
-    def test_comparator_flags_throughput_drop(self):
-        base = self._snapshot({"core.mapping.solve": 2.0},
-                              throughput=1000.0)
-        cur = self._snapshot({"core.mapping.solve": 2.0},
-                             throughput=700.0)  # -30%
-        findings = compare_profiles(base, cur, threshold=0.15)
-        assert [(f["kind"], f["name"]) for f in findings] == [
-            ("throughput", "udp_pps")]
-
-    def test_comparator_flags_missing_guarded_throughput(self):
-        base = self._snapshot({"core.mapping.solve": 2.0})
-        base["throughput"] = {"udp_pps_wall": 1500.0}
-        cur = self._snapshot({"core.mapping.solve": 2.0})
-        cur["throughput"] = {}
-        findings = compare_profiles(base, cur, threshold=0.15)
-        assert [(f["kind"], f["name"]) for f in findings] == [
-            ("throughput_missing", "udp_pps_wall")]
-        text = render_comparison(findings, 0.15)
-        assert "MISSING" in text and "udp_pps_wall" in text
-
-    def test_comparator_skips_missing_unguarded_throughput(self):
-        base = self._snapshot({"core.mapping.solve": 2.0})
-        base["throughput"] = {"sim_ratio": 3.0}
-        cur = self._snapshot({"core.mapping.solve": 2.0})
-        cur["throughput"] = {}
-        assert compare_profiles(base, cur, threshold=0.15) == []
-
-    def test_guarded_throughput_floor_against_committed_baseline(self):
-        baseline = load_profile(os.path.join(
-            os.path.dirname(__file__), os.pardir, "BENCH_profile.json"))
-        assert baseline["throughput"]["udp_pps_wall"] > 0.0
-        ok = dict(baseline)
-        assert compare_profiles(baseline, ok, threshold=0.15) == []
-        slow = json.loads(json.dumps(baseline))
-        slow["throughput"]["udp_pps_wall"] *= 0.8  # -20%
-        findings = compare_profiles(baseline, slow, threshold=0.15)
-        assert ("throughput", "udp_pps_wall") in [
-            (f["kind"], f["name"]) for f in findings]
-
-    def test_comparator_skips_absent_regions(self):
-        base = self._snapshot({"core.mapping.solve": 2.0,
-                               "pox.steering.install": 1.0})
-        cur = self._snapshot({"core.mapping.solve": 2.0})
-        assert compare_profiles(base, cur, threshold=0.15) == []
-
-    def test_only_guarded_regions_are_compared(self):
-        base = self._snapshot({"some.experimental.region": 1.0})
-        cur = self._snapshot({"some.experimental.region": 10.0})
-        assert compare_profiles(base, cur, threshold=0.15) == []
-        findings = compare_profiles(
-            base, cur, threshold=0.15,
-            guarded=("some.experimental.region",))
-        assert len(findings) == 1
-
-    def test_default_guard_list_covers_all_layers(self):
-        prefixes = {name.split(".")[0] for name in DEFAULT_GUARDED}
-        assert {"sim", "netem", "click", "openflow", "netconf",
-                "core", "pox"} <= prefixes
-
-    def test_calibration_is_positive(self):
-        assert calibrate(loops=10_000) > 0.0
